@@ -18,6 +18,14 @@
       descriptors (callee entry pc, frame size, flattened argument
       operands, return register).
 
+    The interpreter ({!Simt.Interp.run}) matches on the opcode column in
+    one jump table whose literal arms mirror the [op_*] values below; a
+    [bin] or [un] slot runs one lane loop that dispatches on its
+    sub-opcode's class (int to int, float to float, float to bool), with
+    {!Simt.Valops} as the fallback on an operand-kind mismatch. It
+    splits [vals] into unboxed int and float columns once per run, so
+    this type stays a plain, marshal-safe compile artifact.
+
     The result is immutable after [decode] and references its source
     {!Linear.t} only for metadata (locations, function table, memory
     layout) — never on the per-issue path. It is also the natural

@@ -4,7 +4,7 @@
    key ([<16-hex-digest>.art]). The layout is a self-verifying
    envelope:
 
-     srpersist1 <payload-digest-hex> <key-length>\n
+     srpersist2 <build-fingerprint> <payload-digest-hex> <key-length>\n
      <key bytes><marshalled payload>
 
    Writes go to a [.tmp] sibling first and land with [Sys.rename], so a
@@ -15,8 +15,12 @@
    payload digest (a truncated or bit-flipped artifact is detected
    before [Marshal] ever sees it). Any failure on an {e existing} file
    counts as [corrupt]; a missing file is a plain miss and counts
-   nothing. The store never throws for storage reasons: a read-only or
-   full disk silently degrades the server to compile-every-time. *)
+   nothing. A [Marshal] layout is only meaningful to the build that
+   wrote it, so an artifact whose build fingerprint differs from the
+   running program's (a store reused across an upgrade) is a plain miss
+   too, and the next store replaces it. The store never throws for
+   storage reasons: a read-only or full disk silently degrades the
+   server to compile-every-time. *)
 
 type t = {
   dir : string;
@@ -24,10 +28,21 @@ type t = {
   mutable corrupt : int;
 }
 
-let magic = "srpersist1"
+let magic = "srpersist2"
+
+(* The running build: the digest of its executable, taken once. Where
+   the executable cannot be read, a token no other process shares, so
+   nothing written by another build can ever load. *)
+let build =
+  lazy
+    (Digest.to_hex
+       (try Digest.file Sys.executable_name
+        with Sys_error _ ->
+          Digest.string (string_of_int (Random.State.bits (Random.State.make_self_init ())))))
 
 let create ~dir =
   (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755 with Sys_error _ -> ());
+  ignore (Lazy.force build);
   { dir; hits = 0; corrupt = 0 }
 
 let path_of_key t key = Filename.concat t.dir (Printf.sprintf "%016x.art" (Cache.digest key))
@@ -38,13 +53,18 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Parse "srpersist1 <digest> <keylen>\n<key><payload>"; any structural
-   problem raises Exit, which the caller counts as corruption. *)
+(* An entry stamped by another build: a plain miss, not corruption. *)
+exception Other_build
+
+(* Parse "srpersist2 <build> <digest> <keylen>\n<key><payload>"; any
+   structural problem raises Exit, which the caller counts as
+   corruption. *)
 let decode_envelope raw =
   let nl = match String.index_opt raw '\n' with Some i -> i | None -> raise Exit in
   let header = String.sub raw 0 nl in
   match String.split_on_char ' ' header with
-  | [ m; digest_hex; keylen_s ] when String.equal m magic ->
+  | [ m; fingerprint; digest_hex; keylen_s ] when String.equal m magic ->
+    if not (String.equal fingerprint (Lazy.force build)) then raise Other_build;
     let digest =
       match int_of_string_opt ("0x" ^ digest_hex) with Some d -> d | None -> raise Exit
     in
@@ -72,6 +92,7 @@ let load t ~key =
     | value ->
       t.hits <- t.hits + 1;
       Some value
+    | exception Other_build -> None
     | exception _ ->
       (* Existing but unreadable/corrupt/foreign: degrade to a miss. *)
       t.corrupt <- t.corrupt + 1;
@@ -87,7 +108,8 @@ let store t ~key value =
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
         output_string oc
-          (Printf.sprintf "%s %016x %d\n" magic (Cache.digest payload) (String.length key));
+          (Printf.sprintf "%s %s %016x %d\n" magic (Lazy.force build) (Cache.digest payload)
+             (String.length key));
         output_string oc key;
         output_string oc payload);
     Sys.rename tmp path

@@ -7,7 +7,10 @@
     envelope — magic, stored key, payload digest — before unmarshalling,
     so corruption (truncation, bit flips, a foreign file dropped in the
     directory) silently degrades to a cache miss rather than poisoning a
-    response. [hits]/[corrupt] counters surface in [stats] replies only,
+    response. Each entry records a fingerprint of the build that wrote
+    it (the digest of the running executable); an entry from another
+    build loads as a plain miss, never as stale or mis-laid-out code.
+    [hits]/[corrupt] counters surface in [stats] replies only,
     never in [ok] run responses: a restarted server replaying the same
     trace must stay byte-identical on the run stream, warm or cold.
 
@@ -17,12 +20,13 @@
 type t
 
 (** [create ~dir] — makes [dir] if missing; an unusable directory
-    degrades every load to a miss and every store to a no-op. *)
+    degrades every load to a miss and every store to a no-op. The first
+    [create] in a process fingerprints the running build. *)
 val create : dir:string -> t
 
-(** [load t ~key] — the stored artifact, or [None]. A missing entry is a
-    plain miss; an existing-but-invalid entry additionally bumps
-    {!corrupt}. *)
+(** [load t ~key] — the stored artifact, or [None]. A missing entry or
+    one written by another build is a plain miss; an existing-but-invalid
+    entry additionally bumps {!corrupt}. *)
 val load : t -> key:string -> 'a option
 
 (** [store t ~key value] — atomically persist [value] under [key]

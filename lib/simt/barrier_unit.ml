@@ -5,7 +5,9 @@ type t = {
   participants : Mask.t array;
   waiting : Mask.t array;
   (* threshold.(b).(lane) and arrival.(b).(lane) are meaningful while
-     lane is in waiting.(b); -1 encodes "no threshold" (a hard wait). *)
+     lane is in waiting.(b); -1 encodes "no threshold" (a hard wait).
+     The issue-path entries (join, cancel, block, fired) allocate
+     nothing. *)
   threshold : int array array;
   arrival : int array array;
 }
@@ -20,9 +22,12 @@ let create ~n_barriers ~warp_size =
     arrival = Array.init (max n_barriers 1) (fun _ -> Array.make warp_size 0);
   }
 
-let check t b lane =
+let check_barrier t b =
   if b < 0 || b >= Array.length t.participants then
-    invalid_arg (Printf.sprintf "Barrier_unit: barrier b%d out of range" b);
+    invalid_arg (Printf.sprintf "Barrier_unit: barrier b%d out of range" b)
+
+let check t b lane =
+  check_barrier t b;
   if lane < 0 || lane >= t.warp_size then
     invalid_arg (Printf.sprintf "Barrier_unit: lane %d out of range" lane)
 
@@ -35,13 +40,18 @@ let cancel t b lane =
   t.participants.(b) <- Mask.remove lane t.participants.(b);
   t.waiting.(b) <- Mask.remove lane t.waiting.(b)
 
-let block ?(now = 0) t b lane ~threshold =
-  check t b lane;
-  if not (Mask.mem lane t.participants.(b)) then
-    invalid_arg (Printf.sprintf "Barrier_unit.block: lane %d not participating in b%d" lane b);
-  t.waiting.(b) <- Mask.add lane t.waiting.(b);
-  t.threshold.(b).(lane) <- Option.value threshold ~default:(-1);
-  t.arrival.(b).(lane) <- now
+let block t b lanes ~now ~threshold =
+  check_barrier t b;
+  let blocked = Mask.inter lanes t.participants.(b) in
+  t.waiting.(b) <- Mask.union t.waiting.(b) blocked;
+  let bits = ref (Mask.bits blocked) in
+  while !bits <> 0 do
+    let lane = Mask.lowest (Mask.of_bits !bits) in
+    t.threshold.(b).(lane) <- threshold;
+    t.arrival.(b).(lane) <- now;
+    bits := !bits land (!bits - 1)
+  done;
+  blocked
 
 let withdraw_lane t lane =
   let affected = ref [] in
@@ -67,25 +77,33 @@ let fire_condition t b =
   let w = t.waiting.(b) and p = t.participants.(b) in
   if Mask.is_empty w then false
   else if Mask.equal w p then true
-  else
+  else begin
     (* Soft-barrier rule: fire when at least one waiter's threshold is
        met by the number of blocked participants. The waiter count is
        loop-invariant, so take the popcount once. *)
     let arrived = Mask.count w in
-    Mask.fold
-      (fun lane acc ->
-        let k = t.threshold.(b).(lane) in
-        acc || (k >= 0 && arrived >= k))
-      w false
+    let met = ref false in
+    let bits = ref (Mask.bits w) in
+    while (not !met) && !bits <> 0 do
+      let k = t.threshold.(b).(Mask.lowest (Mask.of_bits !bits)) in
+      met := k >= 0 && arrived >= k;
+      bits := !bits land (!bits - 1)
+    done;
+    !met
+  end
 
 let release t b =
   let released = t.waiting.(b) in
   t.participants.(b) <- Mask.diff t.participants.(b) released;
   t.waiting.(b) <- Mask.empty;
-  Mask.iter (fun lane -> t.threshold.(b).(lane) <- -1) released;
+  let bits = ref (Mask.bits released) in
+  while !bits <> 0 do
+    t.threshold.(b).(Mask.lowest (Mask.of_bits !bits)) <- -1;
+    bits := !bits land (!bits - 1)
+  done;
   released
 
-let fired t b = if fire_condition t b then Some (release t b) else None
+let fired t b = if fire_condition t b then release t b else Mask.empty
 
 let force_release t b =
   if Mask.is_empty t.waiting.(b) then None else Some (release t b)

@@ -28,11 +28,12 @@ val join : t -> int -> int -> unit
     {!fired} afterwards. *)
 val cancel : t -> int -> int -> unit
 
-(** [block ?now t b lane ~threshold] — record the lane blocked at a wait
-    on [b], stamping its arrival cycle [now] (for the oldest-arrival
-    yield-victim policy). Callers must only block participant lanes.
-    Check {!fired} afterwards. *)
-val block : ?now:int -> t -> int -> int -> threshold:int option -> unit
+(** [block t b lanes ~now ~threshold] — the lanes of [lanes] that
+    participate in [b] block on it, stamped with arrival cycle [now]
+    (for the oldest-arrival yield-victim policy); the rest pass through.
+    [threshold] is the soft-barrier count, or [-1] for a hard wait.
+    Returns the lanes that blocked. Check {!fired} afterwards. *)
+val block : t -> int -> Support.Mask.t -> now:int -> threshold:int -> Support.Mask.t
 
 (** [withdraw_lane t lane] — remove a lane from every barrier (kernel
     exit); returns the barriers it participated in. Check {!fired}. *)
@@ -48,8 +49,9 @@ val participants : t -> int -> Support.Mask.t
 val waiting : t -> int -> Support.Mask.t
 
 (** [fired t b] — if the fire condition holds, release and return the
-    blocked lanes (updating all state); [None] otherwise. *)
-val fired : t -> int -> Support.Mask.t option
+    blocked lanes (updating all state); {!Support.Mask.empty} otherwise
+    (a fire always releases at least one lane). *)
+val fired : t -> int -> Support.Mask.t
 
 (** [force_release t b] — release the blocked lanes of [b] regardless of
     the fire condition (yield recovery and spurious-release fault

@@ -31,11 +31,153 @@ type issue_event = {
   where : L.location;
 }
 
-type thread_status = Ready | Blocked | Done
+(* An unboxed register file: register [r] holds [I ri.(r)] when
+   [rk.[r] = k_int] and [F rf.(r)] when [rk.[r] = k_float], so a write
+   stores a payload and a kind byte and never boxes a [T.value]. The
+   immediate pool is split into the same shape once per run. *)
+type regs = { ri : int array; rf : float array; rk : Bytes.t }
+
+let k_int = '\000'
+let k_float = '\001'
+
+let new_regs n = { ri = Array.make n 0; rf = Array.make n 0.0; rk = Bytes.make n k_int }
+
+(* The helpers below are module-local and closed so that ocamlopt inlines
+   them into the issue loop: dune's dev profile compiles with -opaque,
+   which blocks inlining of any Support.Mask or Valops function. *)
+
+let[@inline] set_int r d n =
+  r.ri.(d) <- n;
+  Bytes.set r.rk d k_int
+
+let[@inline] set_float r d x =
+  r.rf.(d) <- x;
+  Bytes.set r.rk d k_float
+
+let[@inline] set_value r d = function T.I n -> set_int r d n | T.F x -> set_float r d x
+
+(* Encoded-operand reads (see Ir.Decoded): bit 0 picks the current
+   register file or the immediate pool, the rest is the index. *)
+let[@inline] home cur pool e = if e land 1 = 0 then cur else pool
+let[@inline] kind cur pool e = Bytes.get (home cur pool e).rk (e lsr 1)
+let[@inline] ival cur pool e = (home cur pool e).ri.(e lsr 1)
+let[@inline] fval cur pool e = (home cur pool e).rf.(e lsr 1)
+
+(* Boxed read, for the paths that need a [T.value]: stores and the
+   Valops fallback. *)
+let value cur pool e =
+  if kind cur pool e = k_int then T.I (ival cur pool e) else T.F (fval cur pool e)
+
+let[@inline] copy cur pool e dst d =
+  if kind cur pool e = k_int then set_int dst d (ival cur pool e)
+  else set_float dst d (fval cur pool e)
+
+(* An int operand (address, randint bound); a float raises Valops's
+   type error. *)
+let[@inline] int_operand cur pool e =
+  if kind cur pool e = k_int then ival cur pool e else Valops.to_int (value cur pool e)
+
+let[@inline] truthy cur pool e =
+  if kind cur pool e = k_int then ival cur pool e <> 0 else fval cur pool e <> 0.0
+
+(* Lane peel: the index of the lowest set bit of a non-zero mask is the
+   SWAR popcount of the bits below it. *)
+let[@inline] popcount m =
+  let m = m - ((m lsr 1) land 0x1555555555555555) in
+  let m = (m land 0x3333333333333333) + ((m lsr 2) land 0x3333333333333333) in
+  let m = (m + (m lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  let m = m + (m lsr 8) in
+  let m = m + (m lsr 16) in
+  let m = m + (m lsr 32) in
+  m land 0x7F
+
+let[@inline] lowest_lane bits = popcount ((bits land -bits) - 1)
+
+(* Operation classes of the bin/un lane loop: the operand kind an
+   operation takes on its fast path and the kind it produces. Any other
+   operand kind goes to Valops, the single source of semantics (type
+   errors included); the arms below mirror its cases. *)
+let c_int = 0 (* int -> int; integer comparisons give 0/1 *)
+let c_float = 1 (* float -> float *)
+let c_fcmp = 2 (* float -> 0/1 *)
+let c_itof = 3
+let c_ftoi = 4
+
+let bin_class : T.binop -> int = function
+  | Add | Sub | Mul | Div | Rem | Min | Max | Land | Lor | Lxor | Shl | Shr | Eq | Ne | Lt | Le
+  | Gt | Ge ->
+    c_int
+  | Fadd | Fsub | Fmul | Fdiv | Fmin | Fmax -> c_float
+  | Feq | Fne | Flt | Fle | Fgt | Fge -> c_fcmp
+
+let un_class : T.unop -> int = function
+  | Neg | Not | Bnot -> c_int
+  | Fneg | Sqrt | Exp | Log | Sin | Cos | Fabs -> c_float
+  | Itof -> c_itof
+  | Ftoi -> c_ftoi
+
+let[@inline] b2i b = if b then 1 else 0
+
+(* Native [/] and [mod] raise Division_by_zero exactly as Valops does. *)
+let[@inline] int_binop (o : T.binop) (x : int) y =
+  match o with
+  | Add -> x + y
+  | Sub -> x - y
+  | Mul -> x * y
+  | Div -> x / y
+  | Rem -> x mod y
+  | Min -> if x <= y then x else y
+  | Max -> if x >= y then x else y
+  | Land -> x land y
+  | Lor -> x lor y
+  | Lxor -> x lxor y
+  | Shl -> x lsl y
+  | Shr -> x asr y
+  | Eq -> b2i (x = y)
+  | Ne -> b2i (x <> y)
+  | Lt -> b2i (x < y)
+  | Le -> b2i (x <= y)
+  | Gt -> b2i (x > y)
+  | Ge -> b2i (x >= y)
+  | _ -> assert false
+
+let[@inline] float_binop (o : T.binop) (x : float) y =
+  match o with
+  | Fadd -> x +. y
+  | Fsub -> x -. y
+  | Fmul -> x *. y
+  | Fdiv -> x /. y
+  | Fmin -> Float.min x y
+  | Fmax -> Float.max x y
+  | _ -> assert false
+
+let[@inline] float_cmp (o : T.binop) (x : float) y =
+  match o with
+  | Feq -> b2i (x = y)
+  | Fne -> b2i (x <> y)
+  | Flt -> b2i (x < y)
+  | Fle -> b2i (x <= y)
+  | Fgt -> b2i (x > y)
+  | Fge -> b2i (x >= y)
+  | _ -> assert false
+
+let[@inline] int_unop (o : T.unop) x =
+  match o with Neg -> -x | Not -> b2i (x = 0) | Bnot -> lnot x | _ -> assert false
+
+let[@inline] float_unop (o : T.unop) x =
+  match o with
+  | Fneg -> -.x
+  | Sqrt -> sqrt x
+  | Exp -> exp x
+  | Log -> log x
+  | Sin -> sin x
+  | Cos -> cos x
+  | Fabs -> Float.abs x
+  | _ -> assert false
 
 (* [ret_reg] is the caller register receiving the return value, -1 for
    none — decoded form, no option box. *)
-type frame = { regs : T.value array; ret_pc : int; ret_reg : int }
+type frame = { fregs : regs; ret_pc : int; ret_reg : int }
 
 type thread = {
   lane : int;
@@ -43,44 +185,54 @@ type thread = {
   rng : Support.Splitmix.t;
   mutable frames : frame list; (* head = current frame *)
   (* Cache of the head frame's register file, so the issue path reads
-     registers with one array load instead of a list match per operand.
-     Invariant: [cur_regs == (List.hd frames).regs]; updated on call and
+     registers with one load instead of a list match per operand.
+     Invariant: [regs == (List.hd frames).fregs]; updated on call and
      return, the only places the frame stack changes. *)
-  mutable cur_regs : T.value array;
-  mutable pc : int;
-  mutable status : thread_status;
-  mutable ready_at : int;
+  mutable regs : regs;
   (* Convergence-group identity: the index of this thread's group slot in
-     its warp's [gmask] table. Threads co-issue only when they share a
+     its warp's group table. Threads co-issue only when they share a
      group; groups split whenever members head to different places
      (divergent branch outcomes, barrier blocking) and merge ONLY when a
      convergence barrier fires. This models Volta behaviour faithfully:
      diverged threads do not spontaneously reconverge just because their
      PCs happen to coincide — reconvergence requires a barrier, which is
-     exactly why compilers insert them. *)
+     exactly why compilers insert them. A finished thread belongs to no
+     group. *)
   mutable group : int;
 }
+
+(* Group status, kept in [gstat]. *)
+let st_ready = 0
+let st_blocked = 1
 
 type warp = {
   wid : int;
   threads : thread array;
   barriers : Barrier_unit.t;
   mutable rr_pc : int; (* last pc issued by the Round_robin policy *)
-  (* Live convergence groups as a packed table of lane bitmasks: slots
-     [0, n_groups) hold disjoint non-empty masks covering every non-Done
-     thread. Maintained incrementally on split/merge, so the issue path
-     never rebuilds the partition. Invariant: all members of a group
-     share the same pc, status and ready_at — they always transition
-     together, and any divergent transition (branch, return, barrier
-     block) immediately re-partitions the group by destination. *)
+  (* Live convergence groups as a packed table: slots [0, n_groups) hold
+     disjoint non-empty lane masks covering every unfinished thread, and
+     the group's pc, status and ready cycle. A group's members always
+     transition together, so these are per group, not per lane; any
+     divergent transition (branch, return, barrier block) re-partitions
+     the group by destination. Maintained incrementally on split/merge,
+     so the issue path never rebuilds the partition. *)
   gmask : Mask.t array;
+  gpc : int array;
+  gready : int array;
+  gstat : int array;
   mutable n_groups : int;
-  (* Cached min ready_at over Ready groups (max_int if none), so an idle
-     cycle advances time in O(warps) instead of O(warps × lanes).
+  (* Cached min [gready] over Ready groups (max_int if none), so an idle
+     cycle advances time in O(warps) instead of O(warps × groups).
      [ready_stale] marks the cache dirty after any group mutation. *)
   mutable ready_min : int;
   mutable ready_stale : bool;
 }
+
+(* The one write of an issue that moves its whole group together. *)
+let[@inline] advance w s pc ready =
+  w.gpc.(s) <- pc;
+  w.gready.(s) <- ready
 
 let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~init_memory =
   Config.validate config;
@@ -114,8 +266,9 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
   let dcode = dprog.D.op in
   let da = dprog.D.a and db = dprog.D.b and dc = dprog.D.c in
   let bops = dprog.D.bop and uops = dprog.D.uop in
-  let vals = dprog.D.vals and calls = dprog.D.calls in
-  let n_code = Array.length dcode in
+  let calls = dprog.D.calls in
+  let pool = new_regs (max (Array.length dprog.D.vals) 1) in
+  Array.iteri (set_value pool) dprog.D.vals;
   (* Static issue latencies, resolved per slot from the decode-time
      latency class — the hot path never re-classifies an opcode. Memory
      slots keep a placeholder; their cost is dynamic (coalescing). *)
@@ -132,24 +285,20 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
         else 0)
       dprog.D.lclass
   in
-  ignore n_code;
   (* Per-block lane counts, keyed by the decode-time block slots; folded
      into [profile] once at the end of the run so the hot loop pays one
      int-array bump instead of a hashtable update per block entry. *)
   let bslot = dprog.D.bslot in
   let prof_counts = Array.make (max (Array.length dprog.D.bfunc) 1) 0 in
   let make_thread wid lane =
-    let regs = Array.make (max entry_info.n_regs 1) (T.I 0) in
-    List.iteri (fun i v -> regs.(i) <- v) args;
+    let regs = new_regs (max entry_info.n_regs 1) in
+    List.iteri (set_value regs) args;
     {
       lane;
       tid = (wid * config.warp_size) + lane;
       rng = Support.Splitmix.of_ints config.seed wid lane;
-      frames = [ { regs; ret_pc = -1; ret_reg = -1 } ];
-      cur_regs = regs;
-      pc = entry_info.entry_pc;
-      status = Ready;
-      ready_at = 0;
+      frames = [ { fregs = regs; ret_pc = -1; ret_reg = -1 } ];
+      regs;
       group = 0;
     }
   in
@@ -163,6 +312,9 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
               Barrier_unit.create ~n_barriers:lprog.n_barriers ~warp_size:config.warp_size;
             rr_pc = -1;
             gmask = Array.make config.warp_size Mask.empty;
+            gpc = Array.make config.warp_size entry_info.entry_pc;
+            gready = Array.make config.warp_size 0;
+            gstat = Array.make config.warp_size st_ready;
             n_groups = 1;
             ready_min = 0;
             ready_stale = true;
@@ -177,16 +329,12 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
   (* Per-run scratch: simulation within one [run] is single-threaded, so
      one set of buffers serves every warp without re-allocation. *)
   let addr_buf = Array.make config.warp_size 0 in
+  let dest = Array.make config.warp_size 0 in
   let part_pc = Array.make config.warp_size 0 in
-  let part_slot = Array.make config.warp_size 0 in
-  let cand_pc = Array.make config.warp_size 0 in
-  let cand_mask = Array.make config.warp_size Mask.empty in
-  let context w th =
-    Printf.sprintf "warp %d lane %d tid %d pc %d" w.wid th.lane th.tid th.pc
-  in
-  (* Encoded-operand read: bit 0 picks register file vs immediate pool,
-     the rest is the index — no ADT, no frame-list walk. *)
-  let eval_enc th e = if e land 1 = 0 then th.cur_regs.(e lsr 1) else vals.(e lsr 1) in
+  let part_mask = Array.make config.warp_size 0 in
+  let cand = Array.make config.warp_size 0 in
+  let lane_pc w lane = w.gpc.(w.threads.(lane).group) in
+  let context w th pc = Printf.sprintf "warp %d lane %d tid %d pc %d" w.wid th.lane th.tid pc in
   let mem_cost w cost =
     match faults with
     | Some f ->
@@ -198,6 +346,14 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
     | None -> cost
   in
   (* ---- incremental group-table maintenance ---- *)
+  (* Point every lane of [m] at slot [s]. *)
+  let claim w s m =
+    let bits = ref (Mask.bits m) in
+    while !bits <> 0 do
+      w.threads.(lowest_lane !bits).group <- s;
+      bits := !bits land (!bits - 1)
+    done
+  in
   let detach w th =
     let s = th.group in
     let m = Mask.remove th.lane w.gmask.(s) in
@@ -207,69 +363,81 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
       let last = w.n_groups - 1 in
       if s <> last then begin
         w.gmask.(s) <- w.gmask.(last);
-        Mask.iter (fun lane -> w.threads.(lane).group <- s) w.gmask.(s)
+        w.gpc.(s) <- w.gpc.(last);
+        w.gready.(s) <- w.gready.(last);
+        w.gstat.(s) <- w.gstat.(last);
+        claim w s w.gmask.(s)
       end;
       w.n_groups <- last
     end
   in
+  (* A fresh Ready-or-Blocked slot at [pc] holding [m]. *)
+  let new_group w m pc stat ready =
+    let n = w.n_groups in
+    w.gmask.(n) <- m;
+    w.gpc.(n) <- pc;
+    w.gstat.(n) <- stat;
+    w.gready.(n) <- ready;
+    w.n_groups <- n + 1;
+    claim w n m
+  in
+  (* Two-way divergence: the lanes [m], a strict non-empty subset of slot
+     [s], leave for a fresh group; [s] keeps the rest. *)
+  let split w s m pc stat ready =
+    w.gmask.(s) <- Mask.diff w.gmask.(s) m;
+    new_group w m pc stat ready
+  in
   (* Threads that moved together may have landed in different places;
-     re-partition them into fresh groups by destination pc. *)
-  let regroup w moved =
+     re-partition them into fresh Ready groups by destination pc, read
+     from [dest.(lane)]. *)
+  let regroup w moved ready =
     w.ready_stale <- true;
-    Mask.iter
-      (fun lane ->
-        let th = w.threads.(lane) in
-        if th.status <> Done then detach w th)
-      moved;
     let k = ref 0 in
-    Mask.iter
-      (fun lane ->
-        let th = w.threads.(lane) in
-        if th.status <> Done then begin
-          let j = ref 0 in
-          while !j < !k && part_pc.(!j) <> th.pc do incr j done;
-          if !j = !k then begin
-            part_pc.(!k) <- th.pc;
-            part_slot.(!k) <- w.n_groups;
-            w.gmask.(w.n_groups) <- Mask.empty;
-            w.n_groups <- w.n_groups + 1;
-            incr k
-          end;
-          let s = part_slot.(!j) in
-          w.gmask.(s) <- Mask.add lane w.gmask.(s);
-          th.group <- s
-        end)
-      moved
+    let bits = ref (Mask.bits moved) in
+    while !bits <> 0 do
+      let lane = lowest_lane !bits in
+      detach w w.threads.(lane);
+      let j = ref 0 in
+      while !j < !k && part_pc.(!j) <> dest.(lane) do incr j done;
+      if !j = !k then begin
+        part_pc.(!k) <- dest.(lane);
+        part_mask.(!k) <- 0;
+        incr k
+      end;
+      part_mask.(!j) <- part_mask.(!j) lor (1 lsl lane);
+      bits := !bits land (!bits - 1)
+    done;
+    for j = 0 to !k - 1 do
+      new_group w (Mask.of_bits part_mask.(j)) part_pc.(j) st_ready ready
+    done
   in
   (* Wake a set of lanes released from a barrier: the shared tail of an
      organic fire, a yield-recovery release and a fault-injected spurious
      release. Only organic fires count as [barrier_fires]. *)
   let apply_release w released =
-    Mask.iter
-      (fun lane ->
-        let th = w.threads.(lane) in
-        th.status <- Ready;
-        th.pc <- th.pc + 1;
-        th.ready_at <- !cycle + lat.barrier)
-      released;
+    let bits = ref (Mask.bits released) in
+    while !bits <> 0 do
+      let lane = lowest_lane !bits in
+      dest.(lane) <- lane_pc w lane + 1;
+      bits := !bits land (!bits - 1)
+    done;
     (* The release is the one place where diverged threads reconverge:
        everyone released at the same point joins one fresh group. *)
-    regroup w released
+    regroup w released (!cycle + lat.barrier)
   in
   (* Release every lane the barrier fire condition allows. Organic fires
      (and only they) advance the warp's race-logger interval: a forced
      release is lost synchronization, so it must not separate accesses
      in the race model. *)
   let release_fired w b =
-    match Barrier_unit.fired w.barriers b with
-    | None -> ()
-    | Some released ->
+    let released = Barrier_unit.fired w.barriers b in
+    if not (Mask.is_empty released) then begin
       metrics.barrier_fires <- metrics.barrier_fires + 1;
       (match race with Some rl -> Race_log.bump rl ~warp:w.wid | None -> ());
       apply_release w released
+    end
   in
   let finish_thread w th =
-    th.status <- Done;
     w.ready_stale <- true;
     detach w th;
     metrics.threads_finished <- metrics.threads_finished + 1;
@@ -291,7 +459,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
     &&
     let ok = ref true in
     for s = 0 to w.n_groups - 1 do
-      if w.threads.(Mask.lowest w.gmask.(s)).status <> Blocked then ok := false
+      if w.gstat.(s) <> st_blocked then ok := false
     done;
     !ok
   in
@@ -327,7 +495,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
     let sites =
       Mask.fold
         (fun lane acc ->
-          let loc = lprog.locs.(w.threads.(lane).pc) in
+          let loc = lprog.locs.(lane_pc w lane) in
           let s = Printf.sprintf "%s/bb%d" loc.L.in_func loc.L.in_block in
           if List.mem s acc then acc else acc @ [ s ])
         m []
@@ -429,490 +597,283 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
      [execute] check right here, so a doomed warp is caught at the
      faulting instruction while other warps keep running. *)
   let watchdog w = if warp_stalled w then recover_or_deadlock w in
-  (* Execute one issued group: all lanes of [active] sit at [pc].
+  (* The lanes of a load or store gather their addresses into
+     [addr_buf], in lane order; returns how many. *)
+  let gather threads x active =
+    let n = ref 0 in
+    let bits = ref active in
+    while !bits <> 0 do
+      addr_buf.(!n) <- int_operand threads.(lowest_lane !bits).regs pool x;
+      incr n;
+      bits := !bits land (!bits - 1)
+    done;
+    !n
+  in
+  let log_race w pc active on_access =
+    match race with
+    | None -> ()
+    | Some rl ->
+      let i = ref 0 in
+      let bits = ref active in
+      while !bits <> 0 do
+        let th = w.threads.(lowest_lane !bits) in
+        on_access rl ~warp:w.wid ~tid:th.tid ~pc ~addr:addr_buf.(!i);
+        incr i;
+        bits := !bits land (!bits - 1)
+      done
+  in
+  (* Execute one issued group: slot [s] of [w], all of whose lanes
+     ([active], as bits) sit at [pc].
 
      This is the threaded-code dispatch the decode stage exists for: one
      dense integer match over the opcode column (a flat jump table — the
      literal values mirror Ir.Decoded's op_* table), operands read
-     through the encoded-int scheme, and every lane walk an open-coded
-     peel over the mask bits — no ADT match, no closure per issue, no
-     name resolution. Compute and advance fuse into a single pass where
-     lanes are independent; loads/stores keep the two-pass gather/commit
-     shape because the coalescing cost must be known before lanes can be
-     advanced. *)
-  let execute w pc active =
+     through the encoded-int scheme from unboxed register files, and
+     every lane walk an open-coded peel over the mask bits — no ADT
+     match, no closure per issue, no name resolution. A group moves as
+     one, so an arm that sends every lane to the same place writes the
+     slot's pc and ready cycle once; the divergent arms (br, wait, ret,
+     exit) split or re-partition the slot. Loads/stores keep the
+     two-pass gather/commit shape because the coalescing cost must be
+     known before lanes can be advanced. *)
+  let execute w s pc active =
     w.ready_stale <- true;
     let threads = w.threads in
+    let next = pc + 1 and ready = !cycle + lat_tbl.(pc) in
     match dcode.(pc) with
     | 0 (* bin *) ->
       let d = da.(pc) and x = db.(pc) and y = dc.(pc) in
       let o = bops.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      (* Superop specialization: the sub-opcode is uniform across the
-         group, so match it once per issue and run the hottest ops with
-         the arithmetic inlined in the lane loop. Every specialized arm
-         falls back to {!Valops.binop} on an operand-kind mismatch, so
-         Valops stays the single source of semantics — type errors,
-         division by zero, and the shared boolean values included. *)
-      (match o with
-      | T.Add ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.I a, T.I b -> T.I (a + b)
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | T.Sub ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.I a, T.I b -> T.I (a - b)
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | T.Mul ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.I a, T.I b -> T.I (a * b)
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | T.Lt ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.I a, T.I b -> if a < b then Valops.v_true else Valops.v_false
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | T.Le ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.I a, T.I b -> if a <= b then Valops.v_true else Valops.v_false
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | T.Eq ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.I a, T.I b -> if a = b then Valops.v_true else Valops.v_false
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | T.Fadd ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.F a, T.F b -> T.F (a +. b)
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | T.Fmul ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          (th.cur_regs.(d) <-
-            (match (eval_enc th x, eval_enc th y) with
-            | T.F a, T.F b -> T.F (a *. b)
-            | xv, yv -> Valops.binop o xv yv));
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done
-      | _ ->
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          th.cur_regs.(d) <- Valops.binop o (eval_enc th x) (eval_enc th y);
-          th.pc <- pc1;
-          th.ready_at <- ready;
-          bits := !bits land (!bits - 1)
-        done)
+      let cls = bin_class o in
+      let bits = ref active in
+      while !bits <> 0 do
+        let r = threads.(lowest_lane !bits).regs in
+        let kx = kind r pool x and ky = kind r pool y in
+        if cls = c_int && kx = k_int && ky = k_int then
+          set_int r d (int_binop o (ival r pool x) (ival r pool y))
+        else if cls = c_float && kx = k_float && ky = k_float then
+          set_float r d (float_binop o (fval r pool x) (fval r pool y))
+        else if cls = c_fcmp && kx = k_float && ky = k_float then
+          set_int r d (float_cmp o (fval r pool x) (fval r pool y))
+        else set_value r d (Valops.binop o (value r pool x) (value r pool y));
+        bits := !bits land (!bits - 1)
+      done;
+      advance w s next ready
     | 1 (* un *) ->
       let d = da.(pc) and x = db.(pc) in
       let o = uops.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
+      let cls = un_class o in
+      let bits = ref active in
       while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- Valops.unop o (eval_enc th x);
-        th.pc <- pc1;
-        th.ready_at <- ready;
+        let r = threads.(lowest_lane !bits).regs in
+        let kx = kind r pool x in
+        if kx = k_int && cls = c_int then set_int r d (int_unop o (ival r pool x))
+        else if kx = k_float && cls = c_float then set_float r d (float_unop o (fval r pool x))
+        else if kx = k_int && cls = c_itof then set_float r d (float_of_int (ival r pool x))
+        else if kx = k_float && cls = c_ftoi then set_int r d (int_of_float (fval r pool x))
+        else set_value r d (Valops.unop o (value r pool x));
         bits := !bits land (!bits - 1)
-      done
+      done;
+      advance w s next ready
     | 2 (* mov *) ->
       let d = da.(pc) and x = db.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
+      let bits = ref active in
       while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- eval_enc th x;
-        th.pc <- pc1;
-        th.ready_at <- ready;
+        let r = threads.(lowest_lane !bits).regs in
+        copy r pool x r d;
         bits := !bits land (!bits - 1)
-      done
-    | 3 (* load *) ->
+      done;
+      advance w s next ready
+    | 3 | 4 (* load / store *) ->
       metrics.mem_accesses <- metrics.mem_accesses + 1;
-      let d = da.(pc) and x = db.(pc) in
-      let n = ref 0 in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        addr_buf.(!n) <- Valops.to_int (eval_enc th x);
-        incr n;
-        bits := !bits land (!bits - 1)
-      done;
-      let cost = mem_cost w (Memsys.access_costn memory ~addrs:addr_buf ~n:!n) in
-      let pc1 = pc + 1 and ready = !cycle + cost in
-      let i = ref 0 in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- Memsys.read memory addr_buf.(!i);
-        incr i;
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done;
-      (match race with
-      | None -> ()
-      | Some rl ->
-        let i = ref 0 in
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          Race_log.on_read rl ~warp:w.wid ~tid:th.tid ~pc ~addr:addr_buf.(!i);
-          incr i;
-          bits := !bits land (!bits - 1)
-        done)
-    | 4 (* store *) ->
-      metrics.mem_accesses <- metrics.mem_accesses + 1;
-      let x = da.(pc) and v = db.(pc) in
-      let n = ref 0 in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        addr_buf.(!n) <- Valops.to_int (eval_enc th x);
-        incr n;
-        bits := !bits land (!bits - 1)
-      done;
-      let cost = mem_cost w (Memsys.access_costn memory ~addrs:addr_buf ~n:!n) in
-      let pc1 = pc + 1 and ready = !cycle + cost in
+      let load = dcode.(pc) = 3 in
+      let n = gather threads (if load then db.(pc) else da.(pc)) active in
+      let cost = mem_cost w (Memsys.access_costn memory ~addrs:addr_buf ~n) in
       (* Lane order resolves write conflicts: the highest lane wins,
          matching CUDA's unspecified-but-single-winner semantics
-         deterministically. *)
+         deterministically. Memory holds boxed values, so a store
+         allocates one per lane. *)
       let i = ref 0 in
-      let bits = ref (Mask.bits active) in
+      let bits = ref active in
       while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        Memsys.write memory addr_buf.(!i) (eval_enc th v);
+        let r = threads.(lowest_lane !bits).regs in
+        if load then set_value r da.(pc) (Memsys.read memory addr_buf.(!i))
+        else Memsys.write memory addr_buf.(!i) (value r pool db.(pc));
         incr i;
-        th.pc <- pc1;
-        th.ready_at <- ready;
         bits := !bits land (!bits - 1)
       done;
-      (match race with
-      | None -> ()
-      | Some rl ->
-        let i = ref 0 in
-        let bits = ref (Mask.bits active) in
-        while !bits <> 0 do
-          let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-          Race_log.on_write rl ~warp:w.wid ~tid:th.tid ~pc ~addr:addr_buf.(!i);
-          incr i;
-          bits := !bits land (!bits - 1)
-        done)
-    | 5 (* tid *) ->
-      let d = da.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
+      advance w s next (!cycle + cost);
+      log_race w pc active (if load then Race_log.on_read else Race_log.on_write)
+    | 5 | 6 | 7 | 15 (* tid / lane / nthreads / arrived *) ->
+      let op = dcode.(pc) and d = da.(pc) in
+      (* No lane mutates barrier state here, so the arrival count is
+         uniform across the group — materialize it once. *)
+      let v = if op = 15 then Barrier_unit.arrived w.barriers db.(pc) else n_threads in
+      let bits = ref active in
       while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- T.I th.tid;
-        th.pc <- pc1;
-        th.ready_at <- ready;
+        let th = threads.(lowest_lane !bits) in
+        set_int th.regs d (if op = 5 then th.tid else if op = 6 then th.lane else v);
         bits := !bits land (!bits - 1)
-      done
-    | 6 (* lane *) ->
-      let d = da.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- T.I th.lane;
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done
-    | 7 (* nthreads *) ->
-      let d = da.(pc) in
-      let v = T.I n_threads in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- v;
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done
+      done;
+      advance w s next ready
     | 8 (* rand *) ->
       let d = da.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
+      let bits = ref active in
       while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- T.F (Support.Splitmix.float th.rng);
-        th.pc <- pc1;
-        th.ready_at <- ready;
+        let th = threads.(lowest_lane !bits) in
+        set_float th.regs d (Support.Splitmix.float th.rng);
         bits := !bits land (!bits - 1)
-      done
+      done;
+      advance w s next ready
     | 9 (* randint *) ->
       let d = da.(pc) and x = db.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
+      let bits = ref active in
       while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        let bound = Valops.to_int (eval_enc th x) in
+        let th = threads.(lowest_lane !bits) in
+        let bound = int_operand th.regs pool x in
         if bound <= 0 then
           raise
             (Runtime_error
-               (Printf.sprintf "randint bound %d not positive (%s)" bound (context w th)));
-        th.cur_regs.(d) <- T.I (Support.Splitmix.int th.rng bound);
-        th.pc <- pc1;
-        th.ready_at <- ready;
+               (Printf.sprintf "randint bound %d not positive (%s)" bound (context w th pc)));
+        set_int th.regs d (Support.Splitmix.int th.rng bound);
         bits := !bits land (!bits - 1)
-      done
+      done;
+      advance w s next ready
     | 10 | 11 (* join / rejoin *) ->
       metrics.barrier_joins <- metrics.barrier_joins + 1;
       let b = da.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
+      let bits = ref active in
       while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        Barrier_unit.join w.barriers b th.lane;
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done
-    | 12 (* wait *) ->
-      metrics.barrier_waits <- metrics.barrier_waits + 1;
-      let b = da.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        if Barrier_unit.is_participant w.barriers b th.lane then begin
-          th.status <- Blocked;
-          Barrier_unit.block ~now:!cycle w.barriers b th.lane ~threshold:None
-        end
-        else begin
-          th.pc <- pc1;
-          th.ready_at <- ready
-        end;
+        Barrier_unit.join w.barriers b (lowest_lane !bits);
         bits := !bits land (!bits - 1)
       done;
-      (* blockers and pass-through threads part ways *)
-      regroup w active;
-      release_fired w b;
-      watchdog w
-    | 13 (* wait.th *) ->
+      advance w s next ready
+    | 12 | 13 (* wait / wait.th *) ->
+      (* participants block where they stand, the rest pass on *)
       metrics.barrier_waits <- metrics.barrier_waits + 1;
-      let b = da.(pc) in
-      let threshold = Some db.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        if Barrier_unit.is_participant w.barriers b th.lane then begin
-          th.status <- Blocked;
-          Barrier_unit.block ~now:!cycle w.barriers b th.lane ~threshold
-        end
-        else begin
-          th.pc <- pc1;
-          th.ready_at <- ready
-        end;
-        bits := !bits land (!bits - 1)
-      done;
-      regroup w active;
+      let b = da.(pc) and threshold = if dcode.(pc) = 13 then db.(pc) else -1 in
+      let blk =
+        Mask.bits (Barrier_unit.block w.barriers b (Mask.of_bits active) ~now:!cycle ~threshold)
+      in
+      if blk = active then w.gstat.(s) <- st_blocked
+      else begin
+        if blk <> 0 then split w s (Mask.of_bits blk) pc st_blocked ready;
+        advance w s next ready
+      end;
       release_fired w b;
       watchdog w
     | 14 (* cancel *) ->
       metrics.barrier_cancels <- metrics.barrier_cancels + 1;
       let b = da.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
+      let bits = ref active in
       while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        Barrier_unit.cancel w.barriers b th.lane;
-        th.pc <- pc1;
-        th.ready_at <- ready;
+        Barrier_unit.cancel w.barriers b (lowest_lane !bits);
         bits := !bits land (!bits - 1)
       done;
+      (* before the release, which may move slot [s] *)
+      advance w s next ready;
       release_fired w b
-    | 15 (* arrived *) ->
-      let d = da.(pc) and b = db.(pc) in
-      (* No lane mutates barrier state here, so the count is uniform
-         across the group — materialize it once. *)
-      let v = T.I (Barrier_unit.arrived w.barriers b) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.cur_regs.(d) <- v;
-        th.pc <- pc1;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done
     | 16 (* call *) ->
       let ci = calls.(da.(pc)) in
       let cargs = ci.D.cargs in
-      let n_args = Array.length cargs in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
+      let bits = ref active in
       while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        let regs = Array.make ci.D.cn_regs (T.I 0) in
+        let th = threads.(lowest_lane !bits) in
+        let regs = new_regs ci.D.cn_regs in
         (* Arguments read the caller frame: fill the callee registers
-           before swinging cur_regs over. *)
-        for i = 0 to n_args - 1 do
-          regs.(i) <- eval_enc th cargs.(i)
+           before swinging regs over. *)
+        for i = 0 to Array.length cargs - 1 do
+          copy th.regs pool cargs.(i) regs i
         done;
-        th.frames <- { regs; ret_pc = pc1; ret_reg = ci.D.cret } :: th.frames;
-        th.cur_regs <- regs;
-        th.pc <- ci.D.centry;
-        th.ready_at <- ready;
+        th.frames <- { fregs = regs; ret_pc = next; ret_reg = ci.D.cret } :: th.frames;
+        th.regs <- regs;
         bits := !bits land (!bits - 1)
-      done
+      done;
+      advance w s ci.D.centry ready
     | 17 (* ret *) ->
       let x = da.(pc) in
-      let ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
+      let bits = ref active in
       while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
+        let lane = lowest_lane !bits in
+        let th = threads.(lane) in
         (match th.frames with
         | { ret_pc; ret_reg; _ } :: (top :: _ as rest) ->
-          (* The return operand reads the callee frame; evaluate before
-             the pop. A ret with no operand writes I 0 into a declared
+          (* The return operand reads the callee frame; copy before the
+             pop. A ret with no operand writes I 0 into a declared
              return register (the seed semantics). *)
-          let v = if x >= 0 then eval_enc th x else T.I 0 in
+          if ret_reg >= 0 then
+            if x >= 0 then copy th.regs pool x top.fregs ret_reg else set_int top.fregs ret_reg 0;
           th.frames <- rest;
-          th.cur_regs <- top.regs;
-          if ret_reg >= 0 then th.cur_regs.(ret_reg) <- v;
-          th.pc <- ret_pc;
-          th.ready_at <- ready
-        | _ -> raise (Runtime_error (Printf.sprintf "ret outside call (%s)" (context w th))));
+          th.regs <- top.fregs;
+          dest.(lane) <- ret_pc
+        | _ -> raise (Runtime_error (Printf.sprintf "ret outside call (%s)" (context w th pc))));
         bits := !bits land (!bits - 1)
       done;
       (* returns to different call sites split the group *)
-      regroup w active
+      regroup w (Mask.of_bits active) ready
     | 18 (* br *) ->
       let x = da.(pc) and target = db.(pc) in
-      let pc1 = pc + 1 and ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
+      let taken = ref 0 in
+      let bits = ref active in
       while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.pc <- (if Valops.truthy (eval_enc th x) then target else pc1);
-        th.ready_at <- ready;
+        let lane = lowest_lane !bits in
+        if truthy threads.(lane).regs pool x then taken := !taken lor (1 lsl lane);
         bits := !bits land (!bits - 1)
       done;
       (* a divergent outcome splits the convergence group *)
-      regroup w active
-    | 19 (* jump *) ->
-      let target = da.(pc) in
-      let ready = !cycle + lat_tbl.(pc) in
-      let bits = ref (Mask.bits active) in
-      while !bits <> 0 do
-        let th = threads.(Mask.lowest (Mask.of_bits !bits)) in
-        th.pc <- target;
-        th.ready_at <- ready;
-        bits := !bits land (!bits - 1)
-      done
+      if !taken <> 0 && !taken <> active && target <> next then
+        split w s (Mask.of_bits !taken) target st_ready ready;
+      advance w s (if !taken = active then target else next) ready
+    | 19 (* jump *) -> advance w s da.(pc) ready
     | 20 (* exit *) ->
-      let bits = ref (Mask.bits active) in
+      let bits = ref active in
       while !bits <> 0 do
-        finish_thread w threads.(Mask.lowest (Mask.of_bits !bits));
+        finish_thread w threads.(lowest_lane !bits);
         bits := !bits land (!bits - 1)
       done;
       if metrics.threads_finished < n_threads then watchdog w
     | _ -> assert false
   in
-  (* Pick the next (warp, pc, lanes) to issue, rotating over warps.
+  (* Pick the next (warp, slot) to issue, rotating over warps.
      Candidates are convergence groups, read straight off the warp's
-     incremental group table; a group is issuable when its (uniform)
-     status is Ready and its ready_at has passed. Candidates are ordered
-     by (pc, lexicographic lane list) — the order the schedule-sensitive
-     policies are defined against. *)
-  let sel_pc = ref 0 and sel_mask = ref Mask.empty and sel_warp = ref 0 in
+     group table; a group is issuable when it is Ready and its ready
+     cycle has passed. Candidates are ordered by (pc, lexicographic lane
+     list) — the order the schedule-sensitive policies are defined
+     against. *)
+  let sel_slot = ref 0 and sel_warp = ref 0 in
   let select_group w =
+    let gpc = w.gpc and gmask = w.gmask in
+    let now = !cycle in
     let k = ref 0 in
     for s = 0 to w.n_groups - 1 do
-      let m = w.gmask.(s) in
-      let rep = w.threads.(Mask.lowest m) in
-      if rep.status = Ready && rep.ready_at <= !cycle then begin
-        cand_pc.(!k) <- rep.pc;
-        cand_mask.(!k) <- m;
+      if w.gstat.(s) = st_ready && w.gready.(s) <= now then begin
+        (* insertion sort as the candidates arrive *)
+        let pc = gpc.(s) in
+        let j = ref (!k - 1) in
+        while
+          !j >= 0
+          &&
+          let c = cand.(!j) in
+          gpc.(c) > pc || (gpc.(c) = pc && Mask.compare_lex gmask.(c) gmask.(s) > 0)
+        do
+          cand.(!j + 1) <- cand.(!j);
+          decr j
+        done;
+        cand.(!j + 1) <- s;
         incr k
       end
     done;
     let k = !k in
     if k = 0 then false
     else begin
-      for i = 1 to k - 1 do
-        let pc = cand_pc.(i) and m = cand_mask.(i) in
-        let j = ref (i - 1) in
-        while
-          !j >= 0
-          && (cand_pc.(!j) > pc
-             || (cand_pc.(!j) = pc && Mask.compare_lex cand_mask.(!j) m > 0))
-        do
-          cand_pc.(!j + 1) <- cand_pc.(!j);
-          cand_mask.(!j + 1) <- cand_mask.(!j);
-          decr j
-        done;
-        cand_pc.(!j + 1) <- pc;
-        cand_mask.(!j + 1) <- m
-      done;
       let chosen =
         match config.policy with
         | Config.Lowest_pc -> 0
         | Config.Most_threads ->
           let best = ref 0 in
-          let best_n = ref (Mask.count cand_mask.(0)) in
+          let best_n = ref (popcount (Mask.bits gmask.(cand.(0)))) in
           for i = 1 to k - 1 do
-            let n = Mask.count cand_mask.(i) in
+            let n = popcount (Mask.bits gmask.(cand.(i))) in
             if n > !best_n then begin
               best := i;
               best_n := n
@@ -923,7 +884,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
           let found = ref 0 in
           (try
              for i = 0 to k - 1 do
-               if cand_pc.(i) > w.rr_pc then begin
+               if gpc.(cand.(i)) > w.rr_pc then begin
                  found := i;
                  raise Exit
                end
@@ -932,7 +893,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
           (* rr_pc is Round_robin state only: the other policies must
              not touch it, or a policy change would perturb schedules it
              never influences. *)
-          w.rr_pc <- cand_pc.(!found);
+          w.rr_pc <- gpc.(cand.(!found));
           !found
       in
       (* Chaos scheduler: the injector may override a multi-candidate
@@ -942,8 +903,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
         | Some f when k >= 2 -> Faults.pick f ~warp:w.wid ~k ~chosen
         | _ -> chosen
       in
-      sel_pc := cand_pc.(chosen);
-      sel_mask := cand_mask.(chosen);
+      sel_slot := cand.(chosen);
       true
     end
   in
@@ -965,7 +925,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
   in
   (* Once per issue the injector may disturb the issuing warp: fire a
      spurious release (a barrier with waiters releases early, with
-     threshold-fire semantics) or push every ready lane's wake-up back. *)
+     threshold-fire semantics) or push every ready group's wake-up back. *)
   let disturb w =
     match faults with
     | None -> ()
@@ -977,31 +937,33 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
         | Some released -> apply_release w released
         | None -> ())
       | Some (Faults.D_stall n) ->
-        Array.iter
-          (fun th -> if th.status = Ready then th.ready_at <- max th.ready_at !cycle + n)
-          w.threads;
+        for s = 0 to w.n_groups - 1 do
+          if w.gstat.(s) = st_ready then w.gready.(s) <- max w.gready.(s) !cycle + n
+        done;
         w.ready_stale <- true)
   in
   let running = ref true in
   while !running do
     if find_issue () then begin
       let w = warps.(!sel_warp) in
-      let pc = !sel_pc and active = !sel_mask in
+      let s = !sel_slot in
+      let pc = w.gpc.(s) and active = Mask.bits w.gmask.(s) in
+      let n_active = popcount active in
       metrics.issues <- metrics.issues + 1;
       if metrics.issues > config.max_issues then
         raise (Runaway (Printf.sprintf "issue budget %d exhausted" config.max_issues));
       if config.fuel > 0 && metrics.issues > config.fuel then
         raise (Deadline_exceeded (Printf.sprintf "fuel %d exhausted" config.fuel));
-      metrics.active_sum <- metrics.active_sum + Mask.count active;
+      metrics.active_sum <- metrics.active_sum + n_active;
       (match tracer with
       | Some observe ->
         observe
-          { at_cycle = !cycle; warp = w.wid; pc; active = Mask.to_list active;
+          { at_cycle = !cycle; warp = w.wid; pc; active = Mask.to_list (Mask.of_bits active);
             where = lprog.locs.(pc) }
       | None -> ());
-      let s = bslot.(pc) in
-      if s >= 0 then prof_counts.(s) <- prof_counts.(s) + Mask.count active;
-      (try execute w pc active with
+      let b = bslot.(pc) in
+      if b >= 0 then prof_counts.(b) <- prof_counts.(b) + n_active;
+      (try execute w s pc active with
       | Valops.Type_error msg ->
         raise (Runtime_error (Printf.sprintf "type error at pc %d (warp %d): %s" pc w.wid msg))
       | Division_by_zero ->
@@ -1013,9 +975,8 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
     end
     else
       (* Nothing issuable this cycle: advance time to the next ready
-         group, finish, or handle an all-blocked stall. Group uniformity
-         makes the per-warp minimum a min over groups, not lanes, and the
-         cache makes the common all-warps-stalled step O(warps). *)
+         group, finish, or handle an all-blocked stall. The cache makes
+         the common all-warps-stalled step O(warps). *)
       if metrics.threads_finished >= n_threads then running := false
       else begin
         let next = ref max_int in
@@ -1024,8 +985,7 @@ let run ?tracer ?faults ?race ?entry (config : Config.t) (dprog : D.t) ~args ~in
           if w.ready_stale then begin
             let m = ref max_int in
             for s = 0 to w.n_groups - 1 do
-              let rep = w.threads.(Mask.lowest w.gmask.(s)) in
-              if rep.status = Ready && rep.ready_at < !m then m := rep.ready_at
+              if w.gstat.(s) = st_ready && w.gready.(s) < !m then m := w.gready.(s)
             done;
             w.ready_min <- !m;
             w.ready_stale <- false

@@ -83,6 +83,17 @@ type issue_event = {
     loop dispatches over the decoded opcode array through a flat jump
     table — decode once with {!Ir.Decoded.decode}, run many times.
 
+    Scheduling state lives in each warp's group table: one slot per
+    convergence group holds its lane mask, pc, status and ready cycle,
+    so picking a group and advancing idle time scan plain int columns,
+    and an instruction that moves its whole group writes one slot, not
+    every lane. Register files are unboxed (int and float payload
+    columns plus a kind byte per register), and the immediate pool is
+    split the same way once per run. After set-up an issue allocates
+    nothing, except for [store] (memory holds boxed values), [call] (a
+    fresh frame) and [rand]/[randint] (the PRNG boxes its state);
+    [test_simt.ml] pins this with a [Gc.minor_words] proxy.
+
     [args] are the kernel parameters (uniform across threads);
     [init_memory] fills global tables before the launch;
     [tracer], when given, observes every issued warp instruction;

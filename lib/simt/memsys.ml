@@ -4,8 +4,10 @@ type cache_state = {
   csets : int;
   cways : int;
   hit_latency : int;
-  (* tags.(set) is a list of line tags, most recently used first. *)
-  tags : int list array;
+  (* Set [s] owns slots [s * cways, s * cways + used.(s)) of [tags], its
+     resident lines most recently used first. *)
+  tags : int array;
+  used : int array;
 }
 
 type t = {
@@ -28,7 +30,13 @@ let create (config : Config.memory) ~size =
   let cache =
     Option.map
       (fun (c : Config.cache) ->
-        { csets = c.sets; cways = c.ways; hit_latency = c.hit_latency; tags = Array.make c.sets [] })
+        {
+          csets = c.sets;
+          cways = c.ways;
+          hit_latency = c.hit_latency;
+          tags = Array.make (c.sets * c.ways) 0;
+          used = Array.make c.sets 0;
+        })
       config.cache
   in
   {
@@ -60,24 +68,29 @@ let write t addr v =
 
 let size t = Array.length t.data
 
-(* Probe the cache for a line; true on hit. Updates LRU order and fills on
-   miss. *)
+(* Probe the cache for a line; true on hit. Moves the line to the MRU
+   slot of its set, evicting the LRU line on a miss into a full set. *)
 let probe cache line =
   let set = line mod cache.csets in
-  let resident = cache.tags.(set) in
-  if List.mem line resident then begin
-    cache.tags.(set) <- line :: List.filter (fun l -> l <> line) resident;
-    true
-  end
-  else begin
-    let kept =
-      if List.length resident >= cache.cways then
-        List.filteri (fun i _ -> i < cache.cways - 1) resident
-      else resident
-    in
-    cache.tags.(set) <- line :: kept;
-    false
-  end
+  let n = cache.used.(set) and base = set * cache.cways in
+  let tags = cache.tags in
+  let i = ref 0 in
+  while !i < n && tags.(base + !i) <> line do incr i done;
+  let hit = !i < n in
+  (* slots [0, last) move one place toward the LRU end, freeing slot 0 *)
+  let last =
+    if hit then !i
+    else if n < cache.cways then begin
+      cache.used.(set) <- n + 1;
+      n
+    end
+    else n - 1
+  in
+  for j = last downto 1 do
+    tags.(base + j) <- tags.(base + j - 1)
+  done;
+  tags.(base) <- line;
+  hit
 
 (* [access_costn t ~addrs ~n] prices the warp access touching
    [addrs.(0 .. n-1)]. The distinct lines are collected into the reused

@@ -6,13 +6,6 @@
 
 exception Type_error of string
 
-(** The shared boolean results every comparison returns ([I 1] / [I 0]).
-    Exposed so the interpreter's specialized comparison arms reuse the
-    same physical values instead of boxing fresh ones per lane. *)
-val v_true : Ir.Types.value
-
-val v_false : Ir.Types.value
-
 (** [binop op a b].
     @raise Type_error on operand kind mismatch.
     @raise Division_by_zero for integer [Div]/[Rem] by zero. *)

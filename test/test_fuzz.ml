@@ -251,6 +251,35 @@ let test_fault_trace_roundtrip_and_replay () =
   in
   Alcotest.(check bool) "faulted memory matches the unfaulted run" true (digest a = digest clean)
 
+(* A faulted schedule pinned to fixed values. Replaying a run against its
+   own trace cannot catch a scheduler bug on the forced-stall or
+   spurious-release path, since the run and its replay share the bug;
+   these numbers were recorded before the group table owned the
+   scheduling state. *)
+let test_fault_schedule_pinned () =
+  let rates =
+    { Simt.Faults.default_rates with Simt.Faults.release_rate = 0.02; stall_rate = 0.02 }
+  in
+  let faults = Simt.Faults.create ~rates ~seed:7 () in
+  let config = { Simt.Config.default with Simt.Config.n_warps = 1; yield_on_stall = true } in
+  let o =
+    Core.Runner.run_spec ~config ~faults Core.Compile.speculative
+      (Workloads.Registry.find "mummer")
+  in
+  let events = Simt.Faults.events faults in
+  let count p = List.length (List.filter p events) in
+  Alcotest.(check int) "forced stalls" 261
+    (count (function Simt.Faults.Stall _ -> true | _ -> false));
+  Alcotest.(check int) "spurious releases" 176
+    (count (function Simt.Faults.Release _ -> true | _ -> false));
+  let m = o.Core.Runner.metrics in
+  Alcotest.(check int) "cycles" 42555 m.Simt.Metrics.cycles;
+  Alcotest.(check int) "issues" 13618 m.Simt.Metrics.issues;
+  Alcotest.(check int) "yields" 0 m.Simt.Metrics.yields;
+  Alcotest.(check int) "faults injected" 570 m.Simt.Metrics.faults_injected;
+  Alcotest.(check string) "fault trace digest" "45035c870ef59573a28083695dd82f1e"
+    (Digest.to_hex (Digest.string (Simt.Faults.trace_to_string events)))
+
 let multi_kernel_source =
   {|
 global out: int[64];
@@ -330,6 +359,7 @@ let tests =
           test_deadlock_report_names_cycle;
         Alcotest.test_case "fault trace round-trips and replays" `Quick
           test_fault_trace_roundtrip_and_replay;
+        Alcotest.test_case "faulted schedule pinned" `Quick test_fault_schedule_pinned;
         Alcotest.test_case "chaos campaign (seed 1234)" `Slow test_chaos_campaign;
       ] );
   ]

@@ -390,6 +390,35 @@ let test_persist_corruption_degrades_to_miss () =
       check_int "mangling counted as corrupt" 2 (Serve.Persist.corrupt p);
       check_int "no hits from corrupt entries" 0 (Serve.Persist.hits p))
 
+(* An artifact written by another build of the program (its fingerprint
+   field differs) loads as a plain miss, not a hit and not corruption,
+   and the next store replaces it. *)
+let test_persist_other_build_misses () =
+  with_temp_dir (fun dir ->
+      let p = Serve.Persist.create ~dir in
+      Serve.Persist.store p ~key:"k" [ 1; 2; 3 ];
+      Array.iter
+        (fun f ->
+          let path = Filename.concat dir f in
+          let ic = open_in_bin path in
+          let raw = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          (* header: "<magic> <fingerprint> <digest> <key-length>" *)
+          let i = String.index raw ' ' in
+          let j = String.index_from raw (i + 1) ' ' in
+          let oc = open_out_bin path in
+          output_string oc (String.sub raw 0 (i + 1));
+          output_string oc (String.make (j - i - 1) '0');
+          output_string oc (String.sub raw j (String.length raw - j));
+          close_out oc)
+        (Sys.readdir dir);
+      check_bool "other build's entry is a miss" true
+        ((Serve.Persist.load p ~key:"k" : int list option) = None);
+      check_int "no hit from another build" 0 (Serve.Persist.hits p);
+      check_int "another build is not corruption" 0 (Serve.Persist.corrupt p);
+      Serve.Persist.store p ~key:"k" [ 1; 2; 3 ];
+      check_bool "the rewrite loads back" true (Serve.Persist.load p ~key:"k" = Some [ 1; 2; 3 ]))
+
 (* A restarted server with the same persist dir must answer the same
    trace with a byte-identical run-response stream (persist loads commit
    as in-memory misses), visible only as phits in stats. *)
@@ -605,6 +634,8 @@ let tests =
         Alcotest.test_case "persist round trip" `Quick test_persist_round_trip;
         Alcotest.test_case "persist corruption degrades to a miss" `Quick
           test_persist_corruption_degrades_to_miss;
+        Alcotest.test_case "persist misses another build's artifacts" `Quick
+          test_persist_other_build_misses;
         Alcotest.test_case "restart answers byte-identical from the store" `Quick
           test_server_persist_restart;
         Alcotest.test_case "deadlines answer and the server survives" `Quick

@@ -99,21 +99,52 @@ let test_memsys_cache () =
   check_int "evicted misses again" config.Simt.Config.base_latency evicted;
   let stats = Simt.Memsys.stats m in
   check_bool "hits and misses recorded" true
-    (stats.Simt.Memsys.hits >= 1 && stats.Simt.Memsys.misses >= 3)
+    (stats.Simt.Memsys.hits >= 1 && stats.Simt.Memsys.misses >= 3);
+  (* The LRU hit/miss sequence matches a list model (resident lines most
+     recently used first) over a seeded stream of lines on 4 sets x 2
+     ways: a line is a 16-word block. *)
+  let m = Simt.Memsys.create config ~size:4096 in
+  let model = Array.make 4 [] in
+  let rng = Support.Splitmix.of_ints 5 0 0 in
+  for step = 1 to 2000 do
+    let line = Support.Splitmix.int rng 24 in
+    let set = line mod 4 in
+    let resident = model.(set) in
+    let hit = List.mem line resident in
+    let kept = List.filter (fun l -> l <> line) resident in
+    model.(set) <- line :: List.filteri (fun i _ -> i < 1) kept;
+    let cost = Simt.Memsys.access_cost m ~addrs:[ line * 16 ] in
+    check_int (Printf.sprintf "access %d (line %d)" step line)
+      (if hit then 5 else config.Simt.Config.base_latency)
+      cost
+  done
 
 (* ---- Barrier unit ---- *)
+
+(* One lane at a time, with option results: the shape these tests read
+   the unit's mask-level, allocation-free entries in. *)
+let block ?(now = 0) u b lane ~threshold =
+  let blocked =
+    Simt.Barrier_unit.block u b (Mask.singleton lane) ~now
+      ~threshold:(Option.value threshold ~default:(-1))
+  in
+  check_bool "only participants block" true (Mask.mem lane blocked)
+
+let fired u b =
+  let released = Simt.Barrier_unit.fired u b in
+  if Mask.is_empty released then None else Some released
 
 let test_barrier_basic_fire () =
   let u = Simt.Barrier_unit.create ~n_barriers:2 ~warp_size:4 in
   List.iter (fun l -> Simt.Barrier_unit.join u 0 l) [ 0; 1; 2 ];
   check_bool "participant" true (Simt.Barrier_unit.is_participant u 0 1);
   check_bool "lane 3 not in" false (Simt.Barrier_unit.is_participant u 0 3);
-  Simt.Barrier_unit.block u 0 0 ~threshold:None;
-  check_bool "no fire yet" true (Simt.Barrier_unit.fired u 0 = None);
+  block u 0 0 ~threshold:None;
+  check_bool "no fire yet" true (fired u 0 = None);
   check_int "arrived" 1 (Simt.Barrier_unit.arrived u 0);
-  Simt.Barrier_unit.block u 0 1 ~threshold:None;
-  Simt.Barrier_unit.block u 0 2 ~threshold:None;
-  (match Simt.Barrier_unit.fired u 0 with
+  block u 0 1 ~threshold:None;
+  block u 0 2 ~threshold:None;
+  (match fired u 0 with
   | Some released -> check_int "all released" 3 (Mask.count released)
   | None -> Alcotest.fail "expected fire");
   check_bool "participants cleared" true (Mask.is_empty (Simt.Barrier_unit.participants u 0))
@@ -121,29 +152,29 @@ let test_barrier_basic_fire () =
 let test_barrier_cancel_completes () =
   let u = Simt.Barrier_unit.create ~n_barriers:1 ~warp_size:4 in
   List.iter (fun l -> Simt.Barrier_unit.join u 0 l) [ 0; 1 ];
-  Simt.Barrier_unit.block u 0 0 ~threshold:None;
-  check_bool "waiting on lane 1" true (Simt.Barrier_unit.fired u 0 = None);
+  block u 0 0 ~threshold:None;
+  check_bool "waiting on lane 1" true (fired u 0 = None);
   Simt.Barrier_unit.cancel u 0 1;
-  match Simt.Barrier_unit.fired u 0 with
+  match fired u 0 with
   | Some released -> check_int "lane 0 released" 1 (Mask.count released)
   | None -> Alcotest.fail "cancel should complete the barrier"
 
 let test_barrier_threshold () =
   let u = Simt.Barrier_unit.create ~n_barriers:1 ~warp_size:8 in
   List.iter (fun l -> Simt.Barrier_unit.join u 0 l) [ 0; 1; 2; 3; 4; 5 ];
-  Simt.Barrier_unit.block u 0 0 ~threshold:(Some 3);
-  Simt.Barrier_unit.block u 0 1 ~threshold:(Some 3);
-  check_bool "below threshold holds" true (Simt.Barrier_unit.fired u 0 = None);
-  Simt.Barrier_unit.block u 0 2 ~threshold:(Some 3);
-  (match Simt.Barrier_unit.fired u 0 with
+  block u 0 0 ~threshold:(Some 3);
+  block u 0 1 ~threshold:(Some 3);
+  check_bool "below threshold holds" true (fired u 0 = None);
+  block u 0 2 ~threshold:(Some 3);
+  (match fired u 0 with
   | Some released ->
     check_int "exactly the waiters released" 3 (Mask.count released);
     (* the rest still participate *)
     check_int "remaining participants" 3 (Mask.count (Simt.Barrier_unit.participants u 0))
   | None -> Alcotest.fail "threshold should fire");
   (* threshold 0 releases immediately *)
-  Simt.Barrier_unit.block u 0 4 ~threshold:(Some 0);
-  match Simt.Barrier_unit.fired u 0 with
+  block u 0 4 ~threshold:(Some 0);
+  match fired u 0 with
   | Some released -> check_int "solo release" 1 (Mask.count released)
   | None -> Alcotest.fail "threshold 0 should fire at once"
 
@@ -163,13 +194,13 @@ let test_barrier_threshold_withdraw_completes () =
      even though the threshold itself is never met. *)
   let u = Simt.Barrier_unit.create ~n_barriers:1 ~warp_size:8 in
   List.iter (fun l -> Simt.Barrier_unit.join u 0 l) [ 0; 1; 2; 3 ];
-  Simt.Barrier_unit.block u 0 0 ~threshold:(Some 3);
-  Simt.Barrier_unit.block u 0 1 ~threshold:(Some 3);
-  check_bool "2 of 4 below threshold 3" true (Simt.Barrier_unit.fired u 0 = None);
+  block u 0 0 ~threshold:(Some 3);
+  block u 0 1 ~threshold:(Some 3);
+  check_bool "2 of 4 below threshold 3" true (fired u 0 = None);
   ignore (Simt.Barrier_unit.withdraw_lane u 2);
-  check_bool "3 participants, 2 blocked: still held" true (Simt.Barrier_unit.fired u 0 = None);
+  check_bool "3 participants, 2 blocked: still held" true (fired u 0 = None);
   ignore (Simt.Barrier_unit.withdraw_lane u 3);
-  (match Simt.Barrier_unit.fired u 0 with
+  (match fired u 0 with
   | Some released -> check_bool "remaining blocked lanes released" true
       (Mask.to_list released = [ 0; 1 ])
   | None -> Alcotest.fail "withdrawals should complete the pending threshold wait");
@@ -181,13 +212,13 @@ let test_barrier_cancel_during_threshold () =
      until the full-fire condition takes over. *)
   let u = Simt.Barrier_unit.create ~n_barriers:1 ~warp_size:8 in
   List.iter (fun l -> Simt.Barrier_unit.join u 0 l) [ 0; 1; 2; 3; 4 ];
-  Simt.Barrier_unit.block u 0 0 ~threshold:(Some 4);
-  Simt.Barrier_unit.block u 0 1 ~threshold:(Some 4);
+  block u 0 0 ~threshold:(Some 4);
+  block u 0 1 ~threshold:(Some 4);
   Simt.Barrier_unit.cancel u 0 2;
   Simt.Barrier_unit.cancel u 0 3;
-  check_bool "2 blocked of 3 left: held" true (Simt.Barrier_unit.fired u 0 = None);
+  check_bool "2 blocked of 3 left: held" true (fired u 0 = None);
   Simt.Barrier_unit.cancel u 0 4;
-  match Simt.Barrier_unit.fired u 0 with
+  match fired u 0 with
   | Some released ->
     check_bool "blocked lanes released on last cancel" true (Mask.to_list released = [ 0; 1 ])
   | None -> Alcotest.fail "cancel should complete the pending threshold wait"
@@ -198,8 +229,8 @@ let test_barrier_force_release () =
      lanes leave the participation mask, the rest stay). *)
   let u = Simt.Barrier_unit.create ~n_barriers:2 ~warp_size:8 in
   List.iter (fun l -> Simt.Barrier_unit.join u 0 l) [ 0; 1; 2; 3 ];
-  Simt.Barrier_unit.block ~now:9 u 0 1 ~threshold:None;
-  Simt.Barrier_unit.block ~now:5 u 0 0 ~threshold:None;
+  block ~now:9 u 0 1 ~threshold:None;
+  block ~now:5 u 0 0 ~threshold:None;
   check_bool "oldest arrival is the earliest stamp" true
     (Simt.Barrier_unit.oldest_arrival u 0 = Some 5);
   (match Simt.Barrier_unit.force_release u 0 with
@@ -222,8 +253,9 @@ let test_barrier_errors () =
   in
   invalid (fun () -> Simt.Barrier_unit.join u 5 0);
   invalid (fun () -> Simt.Barrier_unit.join u 0 9);
-  (* blocking a non-participant is a simulator-usage bug *)
-  invalid (fun () -> Simt.Barrier_unit.block u 0 0 ~threshold:None)
+  invalid (fun () -> block u 3 0 ~threshold:None);
+  check_bool "a non-participant passes through" true
+    (Mask.is_empty (Simt.Barrier_unit.block u 0 (Mask.singleton 0) ~now:0 ~threshold:(-1)))
 
 (* ---- Metrics ---- *)
 
@@ -535,12 +567,12 @@ let prop_barrier_unit_invariants =
             if
               Simt.Barrier_unit.is_participant u b lane
               && not (Support.Mask.mem lane (Simt.Barrier_unit.waiting u b))
-            then Simt.Barrier_unit.block u b lane ~threshold:None);
+            then block u b lane ~threshold:None);
           let w = Simt.Barrier_unit.waiting u b
           and p = Simt.Barrier_unit.participants u b in
           let subset_ok = Support.Mask.subset w p in
           let fire_ok =
-            match Simt.Barrier_unit.fired u b with
+            match fired u b with
             | None -> true
             | Some released ->
               Support.Mask.equal released w
@@ -549,6 +581,106 @@ let prop_barrier_unit_invariants =
           in
           subset_ok && fire_ok)
         ops)
+
+(* The issue loop's unboxed arithmetic agrees with Valops, the reference
+   semantics, on every operation, for register operands of every kind
+   mix: the same value where Valops returns one, a runtime error where
+   Valops raises (type errors, integer division by zero). *)
+let test_interp_ops_match_valops () =
+  let values =
+    [ T.I 7; T.I (-3); T.I 0; T.I 65; T.I max_int; T.F 2.5; T.F (-0.0); T.F Float.nan; T.F 1e300 ]
+  in
+  let config = { small_config with Simt.Config.warp_size = 1 } in
+  (* one lane: mov each operand into a register, apply, store to out[0] *)
+  let run_one emit =
+    let p = B.create_program () in
+    let f = B.create_func p "k" ~params:0 in
+    B.set_kernel p "k";
+    let out = B.alloc_global p "out" 1 in
+    let d = B.fresh_reg f in
+    emit f d;
+    B.append f f.T.entry (T.Store (T.Imm (T.I out), T.Reg d));
+    B.set_term f f.T.entry T.Exit;
+    let dp = Ir.Decoded.decode (Ir.Linear.linearize p) in
+    match Simt.Interp.run config dp ~args:[] ~init_memory:(fun _ -> ()) with
+    | r -> Ok (Simt.Memsys.dump r.Simt.Interp.memory ~base:out ~len:1).(0)
+    | exception Simt.Interp.Runtime_error _ -> Error ()
+  in
+  let operand f v =
+    let r = B.fresh_reg f in
+    B.append f f.T.entry (T.Mov (r, T.Imm v));
+    T.Reg r
+  in
+  let expect name want got =
+    match (want, got) with
+    | Ok a, Ok b -> check_bool name true (compare a b = 0)
+    | Error (), Error () -> ()
+    | _ -> Alcotest.failf "%s: interpreter and Valops disagree" name
+  in
+  let show v = Format.asprintf "%a" Ir.Printer.pp_value v in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              let want = try Ok (Simt.Valops.binop op a b) with _ -> Error () in
+              let got =
+                run_one (fun f d ->
+                    B.append f f.T.entry (T.Bin (op, d, operand f a, operand f b)))
+              in
+              let name = Ir.Printer.binop_name op in
+              expect (Printf.sprintf "%s %s %s" name (show a) (show b)) want got)
+            values)
+        values)
+    T.[ Add; Sub; Mul; Div; Rem; Min; Max; Land; Lor; Lxor; Shl; Shr; Fadd; Fsub; Fmul; Fdiv;
+        Fmin; Fmax; Eq; Ne; Lt; Le; Gt; Ge; Feq; Fne; Flt; Fle; Fgt; Fge ];
+  List.iter
+    (fun op ->
+      List.iter
+        (fun a ->
+          let want = try Ok (Simt.Valops.unop op a) with _ -> Error () in
+          let got = run_one (fun f d -> B.append f f.T.entry (T.Un (op, d, operand f a))) in
+          expect (Printf.sprintf "%s %s" (Ir.Printer.unop_name op) (show a)) want got)
+        values)
+    T.[ Neg; Not; Bnot; Fneg; Itof; Ftoi; Sqrt; Exp; Log; Sin; Cos; Fabs ]
+
+(* Allocation proxy: after set-up the issue loop allocates nothing for
+   bin, un, mov, load, br, jump, tid, lane and barrier ops, so launching
+   one kernel at two trip counts and differencing [Gc.minor_words]
+   cancels set-up and must leave exactly 0. The opcodes that still
+   allocate sit outside the loop: store (memory holds boxed values),
+   call (a fresh frame) and rand/randint (the PRNG boxes its state). *)
+let test_interp_issue_loop_allocation () =
+  let compiled =
+    Core.Compile.compile Core.Compile.baseline
+      ~source:
+        {|
+global out: int[64];
+global data: int[64];
+kernel k(n: int) {
+  var s: int = 0;
+  var f: float = 0.0;
+  for i in 0 .. n {
+    if (lane() % 2 == 0) { s = s + data[tid()]; } else { f = f - float(i); }
+  }
+  out[tid()] = s + int(f);
+}
+|}
+  in
+  let launch n =
+    let before = Gc.minor_words () in
+    let r =
+      Simt.Interp.run small_config compiled.Core.Compile.decoded ~args:[ T.I n ]
+        ~init_memory:(fun _ -> ())
+    in
+    (r.Simt.Interp.metrics.Simt.Metrics.issues, Gc.minor_words () -. before)
+  in
+  let short_issues, short_words = launch 4 in
+  let long_issues, long_words = launch 40 in
+  check_bool "the longer launch issues more" true (long_issues > short_issues + 100);
+  check (Alcotest.float 0.0) "minor words grown by the extra issues" 0.0
+    (long_words -. short_words)
 
 let test_config_validation () =
   let invalid c = match Simt.Config.validate c with
@@ -619,6 +751,8 @@ let tests =
         Alcotest.test_case "no spontaneous merge" `Quick test_interp_no_spontaneous_merge;
         Alcotest.test_case "barriers reconverge" `Quick test_interp_barrier_reconverges;
         Alcotest.test_case "tracer consistency" `Quick test_tracer_consistency;
+        Alcotest.test_case "ops match Valops" `Quick test_interp_ops_match_valops;
+        Alcotest.test_case "issue loop allocates nothing" `Quick test_interp_issue_loop_allocation;
         Alcotest.test_case "config validation" `Quick test_config_validation;
         QCheck_alcotest.to_alcotest prop_memsys_cost_formula;
         QCheck_alcotest.to_alcotest prop_barrier_unit_invariants;
