@@ -41,7 +41,7 @@ type t = {
   func : Ir.Types.func;
   call_waits : string -> Int_set.t;
   joined : Solver.result;
-  live : Solver.result;
+  live : Solver.result Lazy.t; (* solved on the first [live_*] read *)
 }
 
 let no_call_waits _ = Int_set.empty
@@ -53,16 +53,17 @@ let run ?(call_waits = no_call_waits) (func : Ir.Types.func) =
         List.fold_left (joined_step ~call_waits) state (Ir.Types.block func id).insts)
   in
   let live =
-    Solver.solve g Dataflow.Backward ~boundary:Int_set.empty ~transfer:(fun id state ->
-        List.fold_left (live_step ~call_waits) state
-          (List.rev (Ir.Types.block func id).insts))
+    lazy
+      (Solver.solve g Dataflow.Backward ~boundary:Int_set.empty ~transfer:(fun id state ->
+           List.fold_left (live_step ~call_waits) state
+             (List.rev (Ir.Types.block func id).insts)))
   in
   { func; call_waits; joined; live }
 
 let joined_in t id = Solver.before t.joined id
 let joined_out t id = Solver.after t.joined id
-let live_in t id = Solver.before t.live id
-let live_out t id = Solver.after t.live id
+let live_in t id = Solver.before (Lazy.force t.live) id
+let live_out t id = Solver.after (Lazy.force t.live) id
 
 let joined_at t { block; index } =
   let insts = (Ir.Types.block t.func block).insts in
@@ -76,60 +77,66 @@ let joined_at t { block; index } =
 
 let live_at t { block; index } =
   (* Replay backward from the block's live-out down to the point. *)
-  let insts = (Ir.Types.block t.func block).insts in
-  let n = List.length insts in
-  let suffix = List.filteri (fun i _ -> i >= index) insts in
-  ignore n;
+  let suffix = List.filteri (fun i _ -> i >= index) (Ir.Types.block t.func block).insts in
   List.fold_left (live_step ~call_waits:t.call_waits) (live_out t block) (List.rev suffix)
 
-let points_satisfying t pred barrier =
+let joined_points t barrier =
   let points = ref [] in
   Ir.Types.iter_blocks t.func (fun b ->
-      let n = List.length b.insts in
-      for index = 0 to n do
+      for index = 0 to List.length b.insts do
         let pt = { block = b.id; index } in
-        if Int_set.mem barrier (pred t pt) then points := pt :: !points
+        if Int_set.mem barrier (joined_at t pt) then points := pt :: !points
       done);
   List.rev !points
 
-let live_points t barrier = points_satisfying t live_at barrier
-let joined_points t barrier = points_satisfying t joined_at barrier
-
-let barriers_of_func func =
-  let acc = ref Int_set.empty in
-  Ir.Types.iter_blocks func (fun b ->
-      List.iter
-        (fun i -> match Ir.Types.barrier_of i with Some x -> acc := Int_set.add x !acc | None -> ())
-        b.insts);
-  !acc
-
-module Point_set = Set.Make (struct
-  type t = point
-
-  let compare = compare
-end)
+(* Every barrier's {!joined_points} range as a bitset over the points
+   numbered in [iter_blocks] order, from one forward replay per block. *)
+let joined_ranges t =
+  let n_points = ref 0 in
+  Ir.Types.iter_blocks t.func (fun b -> n_points := !n_points + List.length b.insts + 1);
+  let ranges = Hashtbl.create 16 in
+  let range b =
+    match Hashtbl.find_opt ranges b with
+    | Some r -> r
+    | None ->
+      let r = Bitset.create !n_points in
+      Hashtbl.replace ranges b r;
+      r
+  in
+  let point = ref 0 in
+  let mark state =
+    Int_set.iter (fun b -> Bitset.add (range b) !point) state;
+    incr point
+  in
+  Ir.Types.iter_blocks t.func (fun b ->
+      mark
+        (List.fold_left
+           (fun state inst ->
+             mark state;
+             joined_step ~call_waits:t.call_waits state inst)
+           (joined_in t b.id) b.insts));
+  Hashtbl.fold (fun b r acc -> (b, r) :: acc) ranges []
+  |> List.sort (fun (x, _) (y, _) -> compare x y)
 
 let conflicts t =
   (* §4.3: "a barrier live range extends from the moment threads join the
      barrier until the barrier is cleared either by waiting or exiting" —
      i.e. the joined range (Equation 1, with the effects of already
      inserted Cancel/Rejoin primitives), which is what Figure 5's interval
-     arrows depict. *)
-  let barriers = Int_set.elements (barriers_of_func t.func) in
-  let range b = Point_set.of_list (joined_points t b) in
-  let ranges = List.map (fun b -> (b, range b)) barriers in
+     arrows depict. A barrier never joined has an empty range and
+     conflicts with nothing. *)
   let rec pairs = function
     | [] -> []
     | (b1, r1) :: rest ->
       List.filter_map
         (fun (b2, r2) ->
-          let overlap = not (Point_set.disjoint r1 r2) in
-          let inclusive = Point_set.subset r1 r2 || Point_set.subset r2 r1 in
-          if overlap && not inclusive then Some (min b1 b2, max b1 b2) else None)
+          let overlap = not (Bitset.disjoint r1 r2) in
+          let inclusive = Bitset.subset r1 r2 || Bitset.subset r2 r1 in
+          if overlap && not inclusive then Some (b1, b2) else None)
         rest
       @ pairs rest
   in
-  List.sort_uniq compare (pairs ranges)
+  pairs (joined_ranges t)
 
 let pp ppf t =
   Ir.Types.iter_blocks t.func (fun b ->

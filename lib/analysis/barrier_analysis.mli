@@ -24,7 +24,8 @@ type point = { block : int; index : int }
 type t
 
 (** [run func] computes both analyses for every barrier mentioned in
-    [func].
+    [func]. Liveness is solved on the first read of a [live_*]
+    function, so a [t] belongs to one domain.
 
     [call_waits callee] names the barriers whose wait was propagated to
     [callee]'s entry (§4.4): in the caller, a call to [callee] then acts
@@ -52,10 +53,6 @@ val joined_at : t -> point -> Int_set.t
 
 val live_at : t -> point -> Int_set.t
 
-(** [live_points t barrier] — every program point where [barrier] is live
-    in the Equation-2 (backward) sense. *)
-val live_points : t -> int -> point list
-
 (** [joined_points t barrier] — every program point where a thread may be
     an uncleared member of [barrier]: the §4.3 "live range ... from the
     moment threads join the barrier until the barrier is cleared", which
@@ -64,7 +61,9 @@ val joined_points : t -> int -> point list
 
 (** [conflicts t] — pairs of barriers whose {!joined_points} ranges
     overlap non-inclusively (neither contains the other), i.e. the §4.3
-    conflicts. Each unordered pair is reported once, smaller id first. *)
+    conflicts. Each unordered pair is reported once, smaller id first,
+    in increasing order. Numbers the program points, replays each block
+    forward once, and compares the ranges as bitsets a word at a time. *)
 val conflicts : t -> (int * int) list
 
 val pp : Format.formatter -> t -> unit

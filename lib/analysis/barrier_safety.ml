@@ -52,44 +52,70 @@ type speculative = { sfunc : string; slot : T.barrier; join_block : int }
 (* May-held relational domain                                          *)
 (* ------------------------------------------------------------------ *)
 
-module Pair_set = Set.Make (struct
-  type t = int * int
+(* The slot ids the program mentions, numbered densely in increasing
+   order once per [check]: the held domain's bitsets are indexed by
+   these numbers. *)
+type numbering = { slots : int array; number : (int, int) Hashtbl.t }
 
-  let compare = compare
-end)
+let number_slots (p : T.program) =
+  let ids = ref Int_set.empty in
+  Hashtbl.iter
+    (fun _ f ->
+      T.iter_blocks f (fun b ->
+          List.iter
+            (fun i -> Option.iter (fun x -> ids := Int_set.add x !ids) (T.barrier_of i))
+            b.T.insts))
+    p.T.funcs;
+  let slots = Array.of_list (Int_set.elements !ids) in
+  let number = Hashtbl.create (Array.length slots) in
+  Array.iteri (fun k x -> Hashtbl.replace number x k) slots;
+  { slots; number }
 
-let ordered a b = if a <= b then (a, b) else (b, a)
-
-(* [singles] — slots some thread may hold here; [pairs] — unordered slot
-   pairs a single thread may hold simultaneously along some path. Pairs
-   are what survive CFG merges exactly: union over paths is the precise
-   answer for an existential path property. *)
+(* [singles] — slots some thread may hold here; [pairs] — the symmetric
+   co-held bit matrix: row [k] holds the slots a single thread may hold
+   together with slot [k] along some path (the diagonal stays clear).
+   Pairs are what survive CFG merges exactly: union over paths is the
+   precise answer for an existential path property. Both are indexed by
+   the [numbering]; states are copied at block entry and then updated
+   in place. *)
 module Held = struct
-  type t = { singles : Int_set.t; pairs : Pair_set.t }
+  type t = { singles : Bitset.t; pairs : Bitset.t array }
 
-  let bottom = { singles = Int_set.empty; pairs = Pair_set.empty }
+  let empty n = { singles = Bitset.create n; pairs = Array.init n (fun _ -> Bitset.create n) }
+  let copy s = { singles = Bitset.copy s.singles; pairs = Array.map Bitset.copy s.pairs }
 
-  let equal a b = Int_set.equal a.singles b.singles && Pair_set.equal a.pairs b.pairs
+  let equal a b =
+    Bitset.equal a.singles b.singles && Array.for_all2 Bitset.equal a.pairs b.pairs
 
   let join a b =
-    { singles = Int_set.union a.singles b.singles; pairs = Pair_set.union a.pairs b.pairs }
+    let s = copy a in
+    Bitset.union_into ~into:s.singles b.singles;
+    Array.iteri (fun k row -> Bitset.union_into ~into:row b.pairs.(k)) s.pairs;
+    s
+
+  (* The forward solution over [g]: the before/after lookups. *)
+  let solve n g ~transfer =
+    let module S = Dataflow.Make (struct
+      type nonrec t = t
+
+      let bottom = empty n
+      let equal = equal
+      let join = join
+    end) in
+    let res = S.solve g Dataflow.Forward ~boundary:(empty n) ~transfer in
+    (S.before res, S.after res)
 end
 
-module Held_solver = Dataflow.Make (Held)
+let held_add k (s : Held.t) =
+  Bitset.iter (fun c -> if c <> k then Bitset.add s.pairs.(c) k) s.singles;
+  Bitset.union_into ~into:s.pairs.(k) s.singles;
+  Bitset.remove s.pairs.(k) k;
+  Bitset.add s.singles k
 
-let held_add b (s : Held.t) =
-  let pairs =
-    Int_set.fold
-      (fun c acc -> if c = b then acc else Pair_set.add (ordered b c) acc)
-      s.singles s.pairs
-  in
-  { Held.singles = Int_set.add b s.singles; pairs }
-
-let held_drop b (s : Held.t) =
-  {
-    Held.singles = Int_set.remove b s.singles;
-    pairs = Pair_set.filter (fun (x, y) -> x <> b && y <> b) s.pairs;
-  }
+let held_drop k (s : Held.t) =
+  Bitset.remove s.singles k;
+  Bitset.iter (fun c -> Bitset.remove s.pairs.(c) k) s.pairs.(k);
+  Bitset.clear s.pairs.(k)
 
 (* Interprocedural summaries. [entry_waits f] — slots waited in [f]'s
    entry block (a call is the wait event for them, §4.4). [may_block f]
@@ -102,15 +128,28 @@ type summaries = {
   escapes : string -> Int_set.t;
 }
 
-let held_step sums (s : Held.t) inst =
+(* Updates [s] in place. *)
+let held_step nb sums (s : Held.t) inst =
+  let num b = Hashtbl.find nb.number b in
   match inst with
-  | T.Join b | T.Rejoin b -> held_add b s
-  | T.Wait b | T.Wait_threshold (b, _) | T.Cancel b -> held_drop b s
+  | T.Join b | T.Rejoin b -> held_add (num b) s
+  | T.Wait b | T.Wait_threshold (b, _) | T.Cancel b -> held_drop (num b) s
   | T.Call { callee; _ } ->
-    let s = Int_set.fold held_drop (sums.entry_waits callee) s in
-    Int_set.fold held_add (sums.escapes callee) s
+    Int_set.iter (fun b -> held_drop (num b) s) (sums.entry_waits callee);
+    Int_set.iter (fun b -> held_add (num b) s) (sums.escapes callee)
   | T.Bin _ | T.Un _ | T.Mov _ | T.Load _ | T.Store _ | T.Tid _ | T.Lane _ | T.Nthreads _
-  | T.Rand _ | T.Randint _ | T.Arrived _ -> s
+  | T.Rand _ | T.Randint _ | T.Arrived _ -> ()
+
+(* The held state after [insts], from a copy of [st]. *)
+let held_block nb sums st insts =
+  let s = Held.copy st in
+  List.iter (held_step nb sums s) insts;
+  s
+
+let slot_set nb bits =
+  let acc = ref Int_set.empty in
+  Bitset.iter (fun k -> acc := Int_set.add nb.slots.(k) !acc) bits;
+  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Must-held domain (double-arrive check)                              *)
@@ -240,10 +279,11 @@ let sorted_funcs (p : T.program) =
 
 (* Iterates [escapes]/[may_block] (and the per-function held analyses
    that depend on them) to a fixpoint. Returns the final summaries plus
-   the held-analysis result for every function, computed against the
-   stable summaries. *)
-let compute_summaries (p : T.program) =
+   the held-analysis before-states of every function, computed against
+   the stable summaries. *)
+let compute_summaries nb (p : T.program) =
   let names = sorted_funcs p in
+  let n_slots = Array.length nb.slots in
   let cg = Callgraph.build p in
   let ew_tbl = Hashtbl.create 8 in
   List.iter
@@ -264,7 +304,7 @@ let compute_summaries (p : T.program) =
   let sums =
     { entry_waits; may_block = (fun n -> get mb_tbl n); escapes = (fun n -> get esc_tbl n) }
   in
-  let held_results : (string, Held_solver.result) Hashtbl.t = Hashtbl.create 8 in
+  let held_results : (string, int -> Held.t) Hashtbl.t = Hashtbl.create 8 in
   (* Local waited slots never change across iterations; precompute. *)
   let local_waits =
     List.map
@@ -281,56 +321,60 @@ let compute_summaries (p : T.program) =
         (n, !acc))
       names
   in
+  (* A function's held result depends only on its callees' summaries:
+     it is re-solved only when one of them changed after its last solve
+     ([version] counts summary changes), so when a sweep changes nothing
+     every cached result already reflects the stable summaries. *)
+  let version = ref 0 in
+  let changed_at : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let solved_at : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let stale n =
+    match Hashtbl.find_opt solved_at n with
+    | None -> true
+    | Some v ->
+      List.exists
+        (fun c -> Option.value (Hashtbl.find_opt changed_at c) ~default:0 > v)
+        (Callgraph.callees cg n)
+  in
   let changed = ref true in
   while !changed do
     changed := false;
     (* Bottom-up so summaries flow callee-to-caller within one sweep. *)
     List.iter
       (fun n ->
-        let f = Hashtbl.find p.T.funcs n in
-        let g = Cfg.of_func ~live_edge:(branch_pruner f) f in
-        let res =
-          Held_solver.solve g Dataflow.Forward ~boundary:Held.bottom ~transfer:(fun id st ->
-              List.fold_left (held_step sums) st (T.block f id).insts)
-        in
-        Hashtbl.replace held_results n res;
-        let esc =
-          List.fold_left
-            (fun acc id ->
-              match (T.block f id).term with
-              | T.Ret _ -> Int_set.union acc (Held_solver.after res id).Held.singles
-              | T.Jump _ | T.Br _ | T.Exit -> acc)
-            Int_set.empty (Cfg.nodes g)
-        in
-        let mb =
-          List.fold_left
-            (fun acc callee ->
-              Int_set.union acc (Int_set.union (entry_waits callee) (get mb_tbl callee)))
-            (List.assoc n local_waits) (Callgraph.callees cg n)
-        in
-        if not (Int_set.equal esc (get esc_tbl n)) then begin
-          Hashtbl.replace esc_tbl n esc;
-          changed := true
-        end;
-        if not (Int_set.equal mb (get mb_tbl n)) then begin
-          Hashtbl.replace mb_tbl n mb;
-          changed := true
+        if stale n then begin
+          Hashtbl.replace solved_at n !version;
+          let f = Hashtbl.find p.T.funcs n in
+          let g = Cfg.of_func ~live_edge:(branch_pruner f) f in
+          let before, after =
+            Held.solve n_slots g ~transfer:(fun id st ->
+                held_block nb sums st (T.block f id).insts)
+          in
+          Hashtbl.replace held_results n before;
+          let esc =
+            List.fold_left
+              (fun acc id ->
+                match (T.block f id).term with
+                | T.Ret _ -> Int_set.union acc (slot_set nb (after id).Held.singles)
+                | T.Jump _ | T.Br _ | T.Exit -> acc)
+              Int_set.empty (Cfg.nodes g)
+          in
+          let mb =
+            List.fold_left
+              (fun acc callee ->
+                Int_set.union acc (Int_set.union (entry_waits callee) (get mb_tbl callee)))
+              (List.assoc n local_waits) (Callgraph.callees cg n)
+          in
+          if not (Int_set.equal esc (get esc_tbl n) && Int_set.equal mb (get mb_tbl n)) then begin
+            Hashtbl.replace esc_tbl n esc;
+            Hashtbl.replace mb_tbl n mb;
+            incr version;
+            Hashtbl.replace changed_at n !version;
+            changed := true
+          end
         end)
       (Callgraph.bottom_up cg)
   done;
-  (* One final sweep so every cached held result reflects the stable
-     summaries (the last loop iteration may have updated a callee after
-     its caller was analysed). *)
-  List.iter
-    (fun n ->
-      let f = Hashtbl.find p.T.funcs n in
-      let g = Cfg.of_func ~live_edge:(branch_pruner f) f in
-      let res =
-        Held_solver.solve g Dataflow.Forward ~boundary:Held.bottom ~transfer:(fun id st ->
-            List.fold_left (held_step sums) st (T.block f id).insts)
-      in
-      Hashtbl.replace held_results n res)
-    names;
   (sums, fun n -> Hashtbl.find held_results n)
 
 (* ------------------------------------------------------------------ *)
@@ -383,7 +427,8 @@ let check ?(speculative = []) (p : T.program) =
   let add ?(related = []) category slot site message fix =
     findings := { category; slot; site; message; fix; related } :: !findings
   in
-  let sums, held_of = compute_summaries p in
+  let nb = number_slots p in
+  let sums, held_of = compute_summaries nb p in
   let names = sorted_funcs p in
   (* Directed waits-for edges: (holder, waited) -> first witnessing site. *)
   let edges : (int * int, site) Hashtbl.t = Hashtbl.create 32 in
@@ -400,14 +445,19 @@ let check ?(speculative = []) (p : T.program) =
     (fun n ->
       let f = Hashtbl.find p.T.funcs n in
       let g = Cfg.of_func ~live_edge:(branch_pruner f) f in
-      let held_res = held_of n in
+      let held_before = held_of n in
       let must_res =
         Must_solver.solve g Dataflow.Forward ~boundary:(Must.Known Int_set.empty)
           ~transfer:(fun id st -> List.fold_left (must_step sums) st (T.block f id).insts)
       in
       T.iter_blocks f (fun b ->
           let reachable = Cfg.mem g b.id in
-          let held = ref (Held_solver.before held_res b.id) in
+          let held = Held.copy (held_before b.id) in
+          let edges_into w site =
+            let k = Hashtbl.find nb.number w in
+            if Bitset.mem held.Held.singles k then
+              Bitset.iter (fun c -> add_edge nb.slots.(c) w site) held.Held.pairs.(k)
+          in
           let must = ref (Must_solver.before must_res b.id) in
           List.iteri
             (fun index inst ->
@@ -433,35 +483,22 @@ let check ?(speculative = []) (p : T.program) =
               | T.Rejoin slot -> arrive_slots := Int_set.add slot !arrive_slots
               | T.Wait slot | T.Wait_threshold (slot, _) ->
                 note_release slot site;
-                if reachable && Int_set.mem slot (!held).Held.singles then
-                  Pair_set.iter
-                    (fun (x, y) ->
-                      if x = slot then add_edge y slot site
-                      else if y = slot then add_edge x slot site)
-                    (!held).Held.pairs
+                if reachable then edges_into slot site
               | T.Cancel slot -> note_release slot site
               | T.Call { callee; _ } when reachable ->
                 (* The call is the wait event for the callee's entry
                    waits (pair-precise); deeper blocking points see the
                    caller's held slots minus those entry waits. *)
                 let ew = sums.entry_waits callee in
-                Int_set.iter
-                  (fun w ->
-                    if Int_set.mem w (!held).Held.singles then
-                      Pair_set.iter
-                        (fun (x, y) ->
-                          if x = w then add_edge y w site
-                          else if y = w then add_edge x w site)
-                        (!held).Held.pairs)
-                  ew;
+                Int_set.iter (fun w -> edges_into w site) ew;
                 let deeper = Int_set.diff (sums.may_block callee) ew in
-                let srcs = Int_set.diff (!held).Held.singles ew in
+                let srcs = Int_set.diff (slot_set nb held.Held.singles) ew in
                 Int_set.iter
                   (fun m -> Int_set.iter (fun c -> if c <> m then add_edge c m site) srcs)
                   deeper
               | T.Call _ | T.Arrived _ | T.Bin _ | T.Un _ | T.Mov _ | T.Load _ | T.Store _
               | T.Tid _ | T.Lane _ | T.Nthreads _ | T.Rand _ | T.Randint _ -> ());
-              held := held_step sums !held inst;
+              held_step nb sums held inst;
               must := must_step sums !must inst)
             b.insts))
     names;
@@ -495,10 +532,12 @@ let check ?(speculative = []) (p : T.program) =
   let edge_nodes =
     Hashtbl.fold (fun (a, b) _ acc -> Int_set.add a (Int_set.add b acc)) edges Int_set.empty
   in
-  let succs v =
-    Hashtbl.fold (fun (a, b) _ acc -> if a = v then b :: acc else acc) edges []
-    |> List.sort compare
-  in
+  let succ_tbl = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun (a, b) _ ->
+      Hashtbl.replace succ_tbl a (b :: Option.value (Hashtbl.find_opt succ_tbl a) ~default:[]))
+    edges;
+  let succs v = List.sort compare (Option.value (Hashtbl.find_opt succ_tbl v) ~default:[]) in
   List.iter
     (fun scc ->
       match List.sort compare scc with

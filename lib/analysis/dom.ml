@@ -61,22 +61,27 @@ let children t id =
     t.idom_tbl []
   |> List.sort compare
 
-(* Cooper et al. dominance-frontier computation: a join point with several
-   predecessors is in the frontier of every dominator of a predecessor up
-   to (but excluding) the join's immediate dominator. *)
-let frontier t g id =
-  let result = ref [] in
+(* Cooper et al. dominance-frontier computation, once for the whole
+   graph: a join point with several predecessors is in the frontier of
+   every dominator of a predecessor up to (but excluding) the join's
+   immediate dominator. While one join is walked, it is the only node
+   added anywhere, so a repeat shows at the head of the runner's list. *)
+let frontiers t g =
+  let df : (int, int list) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun join ->
       let preds = Cfg.preds g join in
-      if List.length preds >= 2 then
+      if List.length preds >= 2 then begin
+        let stop = Hashtbl.find_opt t.idom_tbl join in
         List.iter
           (fun pred ->
             if Hashtbl.mem t.idom_tbl pred then begin
-              let stop = Hashtbl.find_opt t.idom_tbl join in
               let rec runner node =
                 if Some node <> stop then begin
-                  if node = id && not (List.mem join !result) then result := join :: !result;
+                  (match Hashtbl.find_opt df node with
+                  | Some (j :: _) when j = join -> ()
+                  | Some l -> Hashtbl.replace df node (join :: l)
+                  | None -> Hashtbl.replace df node [ join ]);
                   match idom t node with
                   | Some parent when parent <> node -> runner parent
                   | Some _ | None -> ()
@@ -84,9 +89,11 @@ let frontier t g id =
               in
               runner pred
             end)
-          preds)
+          preds
+      end)
     (Cfg.nodes g);
-  List.sort compare !result
+  Hashtbl.filter_map_inplace (fun _ l -> Some (List.sort compare l)) df;
+  fun id -> Option.value (Hashtbl.find_opt df id) ~default:[]
 
 let common_ancestor t a b =
   if not (Hashtbl.mem t.idom_tbl a) then

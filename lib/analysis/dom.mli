@@ -23,9 +23,11 @@ val strictly_dominates : t -> int -> int -> bool
 (** Children in the dominator tree. *)
 val children : t -> int -> int list
 
-(** [frontier t g id] is the dominance frontier of [id] in [g] (must be
-    the same graph [t] was computed from). *)
-val frontier : t -> Cfg.t -> int -> int list
+(** [frontiers t g] computes the dominance frontier of every node of [g]
+    (which must be the graph [t] was computed from) in one pass; the
+    result maps a node to its frontier, in increasing order ([[]] for a
+    node outside [g]). Apply it once per graph and keep the lookup. *)
+val frontiers : t -> Cfg.t -> int -> int list
 
 (** [common_ancestor t a b] is the nearest common ancestor of [a] and [b]
     in the dominator tree, e.g. the nearest common dominator.

@@ -116,7 +116,7 @@ let test_dom_diamond () =
   check_int "common ancestor of branches" f.T.entry
     (Analysis.Dom.common_ancestor dom then_b else_b);
   check (Alcotest.list Alcotest.int) "frontier of then" [ join ]
-    (Analysis.Dom.frontier dom g then_b)
+    (Analysis.Dom.frontiers dom g then_b)
 
 let test_postdom_diamond () =
   let _, f, then_b, _, join = diamond () in
@@ -188,6 +188,37 @@ let prop_dom_sanity =
           | None -> node = Analysis.Cfg.entry g
           | Some parent -> Analysis.Dom.dominates dom parent node && parent <> node)
         (Analysis.Cfg.nodes g))
+
+(* The frontier table against the definition: [y] is in the frontier of
+   [x] iff [y] is a join (two or more predecessors) and [x] dominates a
+   predecessor of [y] without strictly dominating [y]. Cooper's walk
+   stops below the root, so a root that is itself a join is left out of
+   its own frontier. *)
+let prop_frontiers_definition =
+  QCheck2.Test.make ~name:"dom: frontier table matches the definition" ~count:200
+    random_cfg_gen (fun input ->
+      let f = build_random_cfg input in
+      let g = Analysis.Cfg.of_func f in
+      let agree g =
+        let dom = Analysis.Dom.compute g in
+        let df = Analysis.Dom.frontiers dom g in
+        let nodes = Analysis.Cfg.nodes g in
+        List.for_all
+          (fun x ->
+            let expected =
+              List.filter
+                (fun y ->
+                  let preds = Analysis.Cfg.preds g y in
+                  List.length preds >= 2
+                  && List.exists (fun pr -> Analysis.Dom.dominates dom x pr) preds
+                  && (not (Analysis.Dom.strictly_dominates dom x y))
+                  && not (x = y && y = Analysis.Cfg.entry g))
+                nodes
+            in
+            df x = List.sort compare expected)
+          nodes
+      in
+      agree g && agree (Analysis.Cfg.reverse g))
 
 (* ---- Dataflow ---- *)
 
@@ -385,6 +416,133 @@ let test_no_conflict_when_nested () =
     []
     (Analysis.Barrier_analysis.conflicts ba)
 
+(* ---- Barrier conflicts against the §4.3 definition ---- *)
+
+module BA = Analysis.Barrier_analysis
+
+module Point_set = Set.Make (struct
+  type t = BA.point
+
+  let compare = compare
+end)
+
+(* The conflicts straight from the definition: every pair of barriers
+   mentioned in [f] whose [joined_points] ranges intersect while neither
+   contains the other, compared as point sets. *)
+let reference_conflicts ba (f : T.func) =
+  let slots = ref ISet.empty in
+  T.iter_blocks f (fun b ->
+      List.iter
+        (fun i -> Option.iter (fun x -> slots := ISet.add x !slots) (T.barrier_of i))
+        b.T.insts);
+  let ranges =
+    List.map (fun x -> (x, Point_set.of_list (BA.joined_points ba x))) (ISet.elements !slots)
+  in
+  List.concat_map
+    (fun (x, rx) ->
+      List.filter_map
+        (fun (y, ry) ->
+          if
+            x < y
+            && (not (Point_set.disjoint rx ry))
+            && (not (Point_set.subset rx ry))
+            && not (Point_set.subset ry rx)
+          then Some (x, y)
+          else None)
+        ranges)
+    ranges
+
+(* Slots waited in each function's entry block: the call-as-wait model
+   Deconflict and srlint hand to the analysis. *)
+let entry_waits (p : T.program) callee =
+  match Hashtbl.find_opt p.T.funcs callee with
+  | None -> ISet.empty
+  | Some f ->
+    List.fold_left
+      (fun acc i -> match i with T.Wait b | T.Wait_threshold (b, _) -> ISet.add b acc | _ -> acc)
+      ISet.empty (T.block f f.T.entry).insts
+
+let simt_sources dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".simt")
+  |> List.sort compare
+  |> List.map (fun f ->
+         let path = Filename.concat dir f in
+         (path, In_channel.with_open_bin path In_channel.input_all))
+
+(* Every function of the examples, the corpus repros and a fixed fuzz
+   campaign, built under baseline and specrecon without deconfliction so
+   that conflicts survive: [conflicts] must equal the definition, with
+   and without the call-as-wait model. *)
+let test_conflicts_match_definition () =
+  let fuzz =
+    List.init 60 (fun id ->
+        ( Printf.sprintf "fuzz-2024-%d" id,
+          Front.Pretty.to_string (Fuzz.Gen.generate ~seed:2024 id).Fuzz.Gen.ast ))
+  in
+  let pairs = ref 0 in
+  List.iter
+    (fun (name, source) ->
+      let ast = Front.Parser.parse_string source in
+      List.iter
+        (fun mode ->
+          let p = (Fuzz.Pipeline.compile ~deconflict:false ~mode ast).Fuzz.Pipeline.program in
+          List.iter
+            (fun (fname, f) ->
+              List.iter
+                (fun (model, call_waits) ->
+                  let ba = BA.run ~call_waits f in
+                  let expected = reference_conflicts ba f in
+                  pairs := !pairs + List.length expected;
+                  check
+                    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+                    (Printf.sprintf "%s %s %s (%s)" name (Fuzz.Pipeline.mode_name mode) fname model)
+                    expected (BA.conflicts ba))
+                [ ("intraprocedural", fun _ -> ISet.empty); ("call-as-wait", entry_waits p) ])
+            (Hashtbl.fold (fun n f acc -> (n, f) :: acc) p.T.funcs [] |> List.sort compare))
+        [ Fuzz.Pipeline.Baseline; Fuzz.Pipeline.Specrecon ])
+    (simt_sources "../examples/kernels" @ simt_sources "corpus" @ fuzz);
+  check_bool (Printf.sprintf "the programs have conflicts to compare (%d pairs)" !pairs) true
+    (!pairs > 0)
+
+(* ---- Compile cost against nesting depth ---- *)
+
+(* [if (tid() < k)] nested [depth] deep, the shape on which the barrier
+   analyses grew fastest with nesting. *)
+let nested_if depth =
+  let b = Buffer.create (depth * 48) in
+  Buffer.add_string b "global outi: int[64];\n\nkernel k() {\n  var x: int = tid();\n";
+  for i = 1 to depth do
+    Buffer.add_string b (Printf.sprintf "  if (tid() < %d) {\n    x = x + %d;\n" (3 + (i mod 29)) i)
+  done;
+  for _ = 1 to depth do
+    Buffer.add_string b "  }\n"
+  done;
+  Buffer.add_string b "  outi[tid()] = x;\n}\n";
+  Buffer.contents b
+
+(* Allocation proxy for compile time: [Gc.minor_words] around a full
+   compile at depths 32 and 64 in every mode. With the per-slot co-held
+   matrix, the bitset conflict ranges and one frontier table per graph
+   the ratio is about 2.8; the cubic analyses made it 5.5-6.0. *)
+let test_nested_if_allocation_scaling () =
+  List.iter
+    (fun (name, options) ->
+      let words depth =
+        let source = nested_if depth in
+        let before = Gc.minor_words () in
+        ignore (Core.Compile.compile options ~source);
+        Gc.minor_words () -. before
+      in
+      let ratio = words 64 /. words 32 in
+      check_bool (Printf.sprintf "%s: minor words at depth 64 / 32 = %.2f <= 3.5" name ratio) true
+        (ratio <= 3.5))
+    [
+      ("baseline", Core.Compile.baseline);
+      ("specrecon", Core.Compile.speculative);
+      ("auto", Core.Compile.automatic);
+    ]
+
 (* ---- Callgraph ---- *)
 
 let test_callgraph () =
@@ -486,6 +644,7 @@ let tests =
         Alcotest.test_case "postdom diamond" `Quick test_postdom_diamond;
         Alcotest.test_case "loop" `Quick test_dom_loop;
         qtest prop_dom_sanity;
+        qtest prop_frontiers_definition;
       ] );
     ( "analysis.dataflow",
       [
@@ -509,6 +668,13 @@ let tests =
         Alcotest.test_case "live analysis (Fig 4c)" `Quick test_liveness_analysis_figure4;
         Alcotest.test_case "conflict (Fig 5)" `Quick test_conflicts_figure5;
         Alcotest.test_case "no conflict when nested" `Quick test_no_conflict_when_nested;
+        Alcotest.test_case "conflicts match the point-set definition" `Slow
+          test_conflicts_match_definition;
+      ] );
+    ( "analysis.scaling",
+      [
+        Alcotest.test_case "nested-if compile allocation grows near-linearly" `Quick
+          test_nested_if_allocation_scaling;
       ] );
     ("analysis.callgraph", [ Alcotest.test_case "basics" `Quick test_callgraph ]);
     ( "analysis.costmodel",
