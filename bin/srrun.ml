@@ -13,36 +13,8 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let parse_args args =
-  List.map
-    (fun s ->
-      match int_of_string_opt s with
-      | Some i -> Ir.Types.I i
-      | None -> (
-        match float_of_string_opt s with
-        | Some f -> Ir.Types.F f
-        | None -> usage (Printf.sprintf "bad kernel argument %S (expected int or float)" s)))
-    args
-
-let mode_of_string = function
-  | "baseline" -> Core.Compile.Baseline
-  | "none" -> Core.Compile.No_sync
-  | "specrecon" -> Core.Compile.Speculative Passes.Deconflict.Dynamic
-  | "specrecon-static" -> Core.Compile.Speculative Passes.Deconflict.Static
-  | "auto" ->
-    Core.Compile.Automatic
-      {
-        params = Passes.Auto_detect.default_params;
-        strategy = Passes.Deconflict.Dynamic;
-        profile = None;
-      }
-  | other -> usage ("unknown mode " ^ other)
-
-let policy_of_string = function
-  | "most-threads" -> Simt.Config.Most_threads
-  | "lowest-pc" -> Simt.Config.Lowest_pc
-  | "round-robin" -> Simt.Config.Round_robin
-  | other -> usage ("unknown policy " ^ other)
+let parse_args =
+  List.map (fun s -> match Core.Runner.parse_arg s with Ok v -> v | Error msg -> usage msg)
 
 let yield_policy_of_string = function
   | "oldest-arrival" -> Simt.Config.Oldest_arrival
@@ -53,18 +25,13 @@ let yield_policy_of_string = function
 let run path mode coarsen threshold warps warp_size policy seed deadline yield yield_policy chaos
     replay fault_trace no_deconflict no_lint fix race_check digest check_baseline entry args =
   if deadline < 0 then usage "--deadline must be >= 0 (0 = unlimited)";
-  let mode = mode_of_string mode in
-  let threshold =
-    match threshold with
-    | None -> Core.Compile.Keep
-    | Some k when k < 0 -> Core.Compile.Unset
-    | Some k -> Core.Compile.Set k
-  in
+  let mode = Core.Compile.mode_of_string mode in
+  let threshold = Core.Compile.threshold_of_int threshold in
   let config =
     { Simt.Config.default with
       Simt.Config.n_warps = warps;
       warp_size;
-      policy = policy_of_string policy;
+      policy = Simt.Config.policy_of_string policy;
       seed;
       fuel = deadline;
       yield_on_stall = yield;
@@ -99,6 +66,9 @@ let run path mode coarsen threshold warps warp_size policy seed deadline yield y
   if fault_trace <> None && faults = None then
     usage "--fault-trace requires a fault source (--chaos or --replay)";
   let compiled = Core.Compile.compile options ~source in
+  List.iter
+    (fun f -> Format.eprintf "warning: %a@." Analysis.Barrier_safety.pp_machine f)
+    compiled.Core.Compile.lint_findings;
   let race =
     if race_check then
       Some

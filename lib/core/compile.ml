@@ -59,6 +59,27 @@ let automatic =
     repair = No_repair;
   }
 
+let mode_name = function
+  | No_sync -> "none"
+  | Baseline -> "baseline"
+  | Speculative Passes.Deconflict.Dynamic -> "specrecon"
+  | Speculative Passes.Deconflict.Static -> "specrecon-static"
+  | Automatic _ -> "auto"
+
+(* The five named modes, in the order usage and error text list them. *)
+let named_modes =
+  [ Baseline; No_sync; Speculative Passes.Deconflict.Dynamic;
+    Speculative Passes.Deconflict.Static; automatic.mode ]
+
+let mode_names = List.map mode_name named_modes
+
+let mode_of_string name =
+  match List.find_opt (fun m -> mode_name m = name) named_modes with
+  | Some m -> m
+  | None -> invalid_arg ("unknown mode " ^ name)
+
+let threshold_of_int = function None -> Keep | Some k when k < 0 -> Unset | Some k -> Set k
+
 type repair_report = {
   pre_findings : Analysis.Barrier_safety.finding list;
   outcome : Analysis.Barrier_repair.outcome;
@@ -117,7 +138,7 @@ let strip_hints (p : T.program) =
 
 (* Barrier priority for deconfliction: user hints beat region barriers
    beat compiler PDOM barriers (§4.1). *)
-let make_priority ~applied ~interproc ~pdom =
+let barrier_priority ~applied ~interproc ~pdom =
   let rank = Hashtbl.create 16 in
   List.iter
     (fun (a : Passes.Specrecon.applied) ->
@@ -133,9 +154,9 @@ let make_priority ~applied ~interproc ~pdom =
   fun fname b -> Option.value (Hashtbl.find_opt rank (fname, b)) ~default:1
 
 (* The race differential needs the PDOM placement of the same source:
-   re-lower the (already coarsened) AST through the baseline pipeline
-   rather than recursing into [compile_ast], which would re-run the lint
-   gate and spray its warnings a second time. *)
+   re-lower the (already coarsened) AST through the baseline passes
+   rather than recursing into [compile_ast], which would re-run srlint
+   and the race stage itself. *)
 let pdom_race_findings ast =
   let p = Front.Lower.lower ast in
   strip_hints p;
@@ -144,7 +165,7 @@ let pdom_race_findings ast =
   ignore (Passes.Cleanup.run p);
   Analysis.Race_safety.check p
 
-let compile_ast options ast =
+let compile_ast ?(check = fun _ _ -> ()) options ast =
   let ast =
     match options.coarsen with
     | Some factor -> Front.Coarsen.apply ast ~factor
@@ -152,51 +173,51 @@ let compile_ast options ast =
   in
   let program = Front.Lower.lower ast in
   override_thresholds options.threshold program;
-  let pdom_barriers, applied, interproc_applied, deconflict_report, candidates =
+  check "lower" program;
+  (* Every stage that rewrites [program] reports to the observer. *)
+  let stage name f =
+    let result = f () in
+    check name program;
+    result
+  in
+  let pdom () =
+    let divergence = Analysis.Divergence.run program in
+    stage "pdom_sync" (fun () -> Passes.Pdom_sync.run program divergence)
+  in
+  let speculative strategy =
+    let applied = stage "specrecon" (fun () -> Passes.Specrecon.run program) in
+    let interproc = stage "interproc" (fun () -> Passes.Interproc.run program) in
+    let pdom = pdom () in
+    let report =
+      if options.deconflict then begin
+        let priority = barrier_priority ~applied ~interproc ~pdom in
+        Some (stage "deconflict" (fun () -> Passes.Deconflict.run program ~strategy ~priority))
+      end
+      else None
+    in
+    (pdom, applied, interproc, report)
+  in
+  let (pdom_barriers, applied, interproc_applied, deconflict_report), candidates =
     match options.mode with
     | No_sync ->
       strip_hints program;
-      ([], [], [], None, [])
+      (([], [], [], None), [])
     | Baseline ->
       strip_hints program;
-      let divergence = Analysis.Divergence.run program in
-      (Passes.Pdom_sync.run program divergence, [], [], None, [])
-    | Speculative strategy ->
-      let applied = Passes.Specrecon.run program in
-      let interproc = Passes.Interproc.run program in
-      let divergence = Analysis.Divergence.run program in
-      let pdom = Passes.Pdom_sync.run program divergence in
-      let report =
-        if options.deconflict then begin
-          let priority = make_priority ~applied ~interproc ~pdom in
-          Some (Passes.Deconflict.run program ~strategy ~priority)
-        end
-        else None
-      in
-      (pdom, applied, interproc, report, [])
+      ((pdom (), [], [], None), [])
+    | Speculative strategy -> (speculative strategy, [])
     | Automatic { params; strategy; profile } ->
       strip_hints program;
       let candidates = Passes.Auto_detect.detect ?profile params program in
-      Passes.Auto_detect.install program candidates;
-      let applied = Passes.Specrecon.run program in
-      let interproc = Passes.Interproc.run program in
-      let divergence = Analysis.Divergence.run program in
-      let pdom = Passes.Pdom_sync.run program divergence in
-      let report =
-        if options.deconflict then begin
-          let priority = make_priority ~applied ~interproc ~pdom in
-          Some (Passes.Deconflict.run program ~strategy ~priority)
-        end
-        else None
-      in
-      (pdom, applied, interproc, report, candidates)
+      stage "auto_detect" (fun () -> Passes.Auto_detect.install program candidates);
+      (speculative strategy, candidates)
   in
-  if options.cleanup then ignore (Passes.Cleanup.run program);
+  if options.cleanup then stage "cleanup" (fun () -> ignore (Passes.Cleanup.run program));
   Ir.Verifier.check_program_exn program;
   (* Mandatory barrier-safety stage: a finding is a compiler bug (a
      placement the deconfliction rules should have ruled out), so it is a
-     hard error unless the caller opted into warnings with lint=false
-     (srcc --no-lint). *)
+     hard error unless the caller opted out with lint=false (srcc
+     --no-lint), which leaves reporting the findings to the caller. *)
   let spec_meta = speculative_meta ~applied ~interproc:interproc_applied in
   let lint_findings = Analysis.Barrier_safety.check ~speculative:spec_meta program in
   (* Opt-in repair stage ([srcc --fix]): synthesize a minimal edit
@@ -219,12 +240,12 @@ let compile_ast options ast =
   let program, lint_findings =
     match (options.repair, repair_report) with
     | ( Repair { dry_run = false; _ },
-        Some { outcome = Analysis.Barrier_repair.Repaired { program = p; _ }; _ } ) -> (p, [])
+        Some { outcome = Analysis.Barrier_repair.Repaired { program = p; _ }; _ } ) ->
+      check "repair" p;
+      (p, [])
     | _ -> (program, lint_findings)
   in
-  (match lint_findings with
-  | [] -> ()
-  | fs when options.lint ->
+  if options.lint && lint_findings <> [] then begin
     let unrepairable =
       match repair_report with
       | Some { outcome = Analysis.Barrier_repair.Unrepairable { blocking; explored }; _ } ->
@@ -234,10 +255,9 @@ let compile_ast options ast =
       | _ -> ""
     in
     failwith
-      (Printf.sprintf "srlint: %d barrier-safety finding(s):\n%s%s" (List.length fs)
-         (Analysis.Barrier_safety.render fs) unrepairable)
-  | fs ->
-    List.iter (fun f -> Format.eprintf "warning: %a@." Analysis.Barrier_safety.pp_machine f) fs);
+      (Printf.sprintf "srlint: %d barrier-safety finding(s):\n%s%s" (List.length lint_findings)
+         (Analysis.Barrier_safety.render lint_findings) unrepairable)
+  end;
   (* Race stage ([srcc --race]): unlike lint, findings are reported, not
      gated — a data race can be source-level (present under every
      placement), so the caller decides severity. Under a speculative

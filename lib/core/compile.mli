@@ -57,9 +57,9 @@ type options = {
           exercise the simulator's degraded-mode behaviour. *)
   lint : bool;
       (** treat {!Analysis.Barrier_safety} findings as a hard error
-          ([Failure]); when false they are demoted to stderr warnings
-          (srcc's [--no-lint]). The checker always runs; findings are
-          reported in {!compiled.lint_findings} either way. *)
+          ([Failure]); when false they are only reported in
+          {!compiled.lint_findings} (srcc and srrun [--no-lint] print
+          them as stderr warnings). The checker always runs. *)
   race : bool;
       (** run {!Analysis.Race_safety} after the lint gate; on by
           default, off under srcc's [--no-race]. Unlike lint, findings
@@ -79,6 +79,28 @@ type options = {
 val baseline : options
 val speculative : options (* dynamic deconfliction, source thresholds *)
 val automatic : options
+
+(** {2 Launch vocabulary}
+
+    The one name table for modes: srcc and srrun [--mode], the srserved
+    [mode=] field and the fuzz oracles' cell labels all read it. *)
+
+val mode_name : mode -> string
+(** ["baseline"], ["none"], ["specrecon"] (dynamic deconfliction),
+    ["specrecon-static"] or ["auto"] (any automatic parameters). *)
+
+val mode_names : string list
+(** The five names in usage order: [baseline|none|specrecon|specrecon-static|auto]. *)
+
+val mode_of_string : string -> mode
+(** Inverse of {!mode_name}; ["auto"] is {!automatic}'s mode.
+    @raise Invalid_argument ["unknown mode NAME"] (a usage error under
+    {!Cli.classify}). *)
+
+val threshold_of_int : int option -> threshold_override
+(** The [--threshold] / [threshold=] convention: [None] keeps the
+    source's thresholds, a negative value forces hard barriers, [k]
+    sets every soft threshold to [k]. *)
 
 (** What the repair stage did, when {!options.repair} enabled it. *)
 type repair_report = {
@@ -109,10 +131,48 @@ type compiled = {
 }
 
 (** [compile options ~source] runs parse → (coarsen) → lower → threshold
-    override → synchronization passes → deconfliction → verify →
-    linearize.
+    override → synchronization passes → deconfliction → cleanup → verify
+    → srlint → (repair) → srrace → linearize → decode. It prints
+    nothing: findings that [lint = false] lets through are the caller's
+    to report.
     @raise Front.Parser.Parse_error / Front.Lower.Lower_error / Failure. *)
 val compile : options -> source:string -> compiled
 
-(** Same from an already-parsed AST. *)
-val compile_ast : options -> Front.Ast.program -> compiled
+(** Same from an already-parsed AST.
+
+    [check] observes the program after every stage that rewrites it,
+    with the stage's name, in pipeline order: ["lower"] (threshold
+    override applied), ["auto_detect"] (automatic mode), ["specrecon"],
+    ["interproc"], ["pdom_sync"], ["deconflict"] (when enabled),
+    ["cleanup"] (when enabled) and ["repair"] (an accepted, non-dry-run
+    repair; the program passed is the repaired one). Baseline sees
+    [lower; pdom_sync; cleanup]; {!No_sync} sees [lower; cleanup].
+    The fuzz oracles pass {!Ir.Verifier} here (stage health); an
+    exception it raises propagates out of [compile_ast]. Off by
+    default. *)
+val compile_ast :
+  ?check:(string -> Ir.Types.program -> unit) -> options -> Front.Ast.program -> compiled
+
+(** {2 Pieces of the pipeline}
+
+    Exported so that tests can rebuild an ablated pipeline from the
+    public passes without restating these. *)
+
+val barrier_priority :
+  applied:Passes.Specrecon.applied list ->
+  interproc:Passes.Interproc.applied list ->
+  pdom:(string * int * Ir.Types.barrier) list ->
+  string ->
+  Ir.Types.barrier ->
+  int
+(** Deconfliction priority of a barrier in a function (§4.1): user
+    hints (3) beat region barriers (2) beat compiler PDOM barriers (1). *)
+
+val speculative_meta :
+  applied:Passes.Specrecon.applied list ->
+  interproc:Passes.Interproc.applied list ->
+  Analysis.Barrier_safety.speculative list
+(** Provenance of every speculative barrier the passes placed — what
+    srlint's dominance rule and {!Analysis.Barrier_repair} take as
+    [~speculative]. For a compile: [speculative_meta
+    ~applied:c.applied ~interproc:c.interproc_applied]. *)

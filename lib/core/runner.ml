@@ -26,6 +26,14 @@ let launch ?(config = Simt.Config.default) ?(init = fun _ _ -> ()) ?faults ?race
     check = Ok ();
   }
 
+let parse_arg s =
+  match int_of_string_opt s with
+  | Some i -> Ok (Ir.Types.I i)
+  | None -> (
+    match float_of_string_opt s with
+    | Some f -> Ok (Ir.Types.F f)
+    | None -> Error (Printf.sprintf "bad kernel argument %S (expected int or float)" s))
+
 let run_spec ?(config = Simt.Config.default) ?faults options (spec : Workloads.Spec.t) =
   let config = spec.tweak_config config in
   let options =

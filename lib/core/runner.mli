@@ -39,6 +39,11 @@ val launch :
   args:Ir.Types.value list ->
   outcome
 
+(** [parse_arg s] reads one kernel argument the way srrun [--arg] and
+    the srserved [args=] field do: an int if [s] parses as one, else a
+    float (decimal or C99 hex), else [Error "bad kernel argument ..."]. *)
+val parse_arg : string -> (Ir.Types.value, string) result
+
 (** [run_spec ?config options spec] compiles [spec.source] under
     [options] (with [spec.coarsen] applied unless [options] already
     requests coarsening) and executes it on [config] adjusted by

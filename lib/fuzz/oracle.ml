@@ -47,13 +47,6 @@ let pp_verdict ppf = function
   | Limit msg -> Format.fprintf ppf "limit (%s)" msg
   | Violation { kind; detail } -> Format.fprintf ppf "VIOLATION %s: %s" (kind_name kind) detail
 
-let policies = [ Simt.Config.Most_threads; Simt.Config.Lowest_pc; Simt.Config.Round_robin ]
-
-let policy_name = function
-  | Simt.Config.Most_threads -> "most-threads"
-  | Simt.Config.Lowest_pc -> "lowest-pc"
-  | Simt.Config.Round_robin -> "round-robin"
-
 let base_config =
   { Simt.Config.default with Simt.Config.n_warps = Gen.n_threads / 32; seed = 11 }
 
@@ -99,6 +92,33 @@ let round_trip ast =
 
 exception Stop of verdict
 
+(* Stage health: every cell compiles through the shipping pipeline,
+   with srlint's findings kept as data (lint = false) for the oracles
+   to hold against the simulator, and Ir.Verifier observing the program
+   after every stage Core.Compile reports. A failure names the stage
+   whose output the verifier rejected ("verify:<stage>"), or the last
+   stage that finished before a pass raised ("after:<stage>"; "lower"
+   when lowering itself failed). *)
+let compile_staged ast (options : Core.Compile.options) =
+  let last = ref None in
+  let fail stage msg = raise (Stop (Violation { kind = Stage_failure; detail = stage ^ ": " ^ msg })) in
+  let check stage program =
+    last := Some stage;
+    match Ir.Verifier.check_program program with
+    | [] -> ()
+    | errors ->
+      fail ("verify:" ^ stage)
+        (String.concat "; " (List.map (Format.asprintf "%a" Ir.Verifier.pp_error) errors))
+  in
+  let raised msg = fail (match !last with None -> "lower" | Some s -> "after:" ^ s) msg in
+  match Core.Compile.compile_ast ~check { options with lint = false } ast with
+  | compiled -> compiled
+  | exception Failure msg -> raised msg
+  | exception Front.Lower.Lower_error (p, msg) ->
+    raised (Format.asprintf "%a: %s" Front.Ast.pp_pos p msg)
+
+let mode_name (c : Core.Compile.compiled) = Core.Compile.mode_name c.options.mode
+
 (* Only parameterless kernels can run under the matrix (there is nothing
    to pass for the others); the generator emits exactly those. *)
 let runnable_kernels (linear : Ir.Linear.t) =
@@ -114,18 +134,6 @@ let runnable_kernels (linear : Ir.Linear.t) =
    pipeline it wraps: key collisions handing back the wrong artifact,
    artifacts mutated by a previous launch, counter nondeterminism,
    response misordering. *)
-let serve_options =
-  {
-    Core.Compile.mode = Core.Compile.Speculative Passes.Deconflict.Dynamic;
-    coarsen = None;
-    threshold = Core.Compile.Keep;
-    cleanup = true;
-    deconflict = true;
-    lint = true;
-    race = true;
-    repair = Core.Compile.No_repair;
-  }
-
 let serve_matrix ~max_issues ast (linear : Ir.Linear.t) =
   match runnable_kernels linear with
   | [] -> ()
@@ -133,7 +141,7 @@ let serve_matrix ~max_issues ast (linear : Ir.Linear.t) =
     let source = Front.Pretty.to_string ast in
     let server = Serve.Server.create ~cache_capacity:8 ~max_issues () in
     let compiled =
-      try Ok (Core.Compile.compile serve_options ~source) with exn -> Error exn
+      try Ok (Core.Compile.compile Core.Compile.speculative ~source) with exn -> Error exn
     in
     let config = { base_config with Simt.Config.max_issues } in
     (* Mirror of the server's counter discipline: the artifact is keyed
@@ -224,16 +232,14 @@ let serve_matrix ~max_issues ast (linear : Ir.Linear.t) =
    bug; and a checker-clean program can never truly stall, so any yield
    the watchdog fires is a false stall detection ({!Spurious_yield}) —
    the runtime-side cross-validation of srlint. *)
-let chaos_matrix ~max_issues ~chaos ~chaos_seed (staged : (Pipeline.mode * Pipeline.staged) list)
-    =
-  let _, specrecon = List.find (fun (m, _) -> m = Pipeline.Specrecon) staged in
-  let _, baseline = List.find (fun (m, _) -> m = Pipeline.Baseline) staged in
+let chaos_matrix ~max_issues ~chaos ~chaos_seed ~(baseline : Core.Compile.compiled)
+    ~(specrecon : Core.Compile.compiled) =
   List.iteri
     (fun ki (kf : Ir.Linear.finfo) ->
       let run_baseline () =
         let config = { base_config with Simt.Config.max_issues } in
-        Simt.Interp.run config baseline.Pipeline.decoded ~entry:kf.Ir.Linear.fname ~args:[]
-          ~init_memory:(init_memory baseline.Pipeline.program)
+        Simt.Interp.run config baseline.decoded ~entry:kf.Ir.Linear.fname ~args:[]
+          ~init_memory:(init_memory baseline.program)
       in
       let reference =
         try
@@ -243,9 +249,10 @@ let chaos_matrix ~max_issues ~chaos ~chaos_seed (staged : (Pipeline.mode * Pipel
           raise (Stop (Limit (Printf.sprintf "chaos baseline/%s: %s" kf.Ir.Linear.fname msg)))
       in
       for plan = 0 to chaos - 1 do
+        let policies = Simt.Config.policies in
         let policy = List.nth policies (plan mod List.length policies) in
         let where =
-          Printf.sprintf "chaos plan %d (%s) kernel %s" plan (policy_name policy)
+          Printf.sprintf "chaos plan %d (%s) kernel %s" plan (Simt.Config.policy_name policy)
             kf.Ir.Linear.fname
         in
         let fault_seed =
@@ -265,9 +272,9 @@ let chaos_matrix ~max_issues ~chaos ~chaos_seed (staged : (Pipeline.mode * Pipel
         let replay_run events =
           let f = Simt.Faults.replay events in
           match
-            Simt.Interp.run ~faults:f config specrecon.Pipeline.decoded
+            Simt.Interp.run ~faults:f config specrecon.decoded
               ~entry:kf.Ir.Linear.fname ~args:[]
-              ~init_memory:(init_memory specrecon.Pipeline.program)
+              ~init_memory:(init_memory specrecon.program)
           with
           | r -> Some r
           | exception (Simt.Interp.Deadlock _ | Simt.Interp.Runtime_error _ | Simt.Interp.Runaway _)
@@ -285,9 +292,9 @@ let chaos_matrix ~max_issues ~chaos ~chaos_seed (staged : (Pipeline.mode * Pipel
         in
         let result =
           try
-            Simt.Interp.run ~faults config specrecon.Pipeline.decoded
+            Simt.Interp.run ~faults config specrecon.decoded
               ~entry:kf.Ir.Linear.fname ~args:[]
-              ~init_memory:(init_memory specrecon.Pipeline.program)
+              ~init_memory:(init_memory specrecon.program)
           with
           | Simt.Interp.Deadlock msg ->
             raise
@@ -347,24 +354,16 @@ let chaos_matrix ~max_issues ~chaos ~chaos_seed (staged : (Pipeline.mode * Pipel
                            (minimal_trace faults (fun r ->
                                 first_diff ref_snap (snapshot r.Simt.Interp.memory) <> None))) }))
       done)
-    (runnable_kernels specrecon.Pipeline.linear)
+    (runnable_kernels specrecon.linear)
 
 let check ?(max_issues = 1_500_000) ?(chaos = 0) ?(chaos_seed = 0xc4a05) ast =
   match round_trip ast with
   | Some v -> Violation v
   | None -> (
-    let compiled =
-      try
-        Ok
-          (List.map
-             (fun mode -> (mode, Pipeline.compile ~mode ast))
-             [ Pipeline.Baseline; Pipeline.Specrecon ])
-      with Pipeline.Stage_error (stage, msg) ->
-        Error { kind = Stage_failure; detail = Printf.sprintf "%s: %s" stage msg }
-    in
-    match compiled with
-    | Error v -> Violation v
-    | Ok staged -> (
+    try
+      let baseline = compile_staged ast Core.Compile.baseline in
+      let specrecon = compile_staged ast Core.Compile.speculative in
+      let staged = [ baseline; specrecon ] in
       (* Per-kernel reference row: every (mode, policy) cell must match
          the first run of the same kernel. *)
       let reference = Hashtbl.create 4 in
@@ -374,149 +373,129 @@ let check ?(max_issues = 1_500_000) ?(chaos = 0) ?(chaos_seed = 0xc4a05) ast =
          at the cell); a static finding on a program no cell of the
          whole matrix — both modes, all three schedulers — dynamically
          realizes is a false alarm (race-spurious, checked after the
-         matrix). *)
+         matrix). Race_safety.diff only relabels, so emptiness per mode
+         is the same with or without the PDOM differential. *)
       let dynamic_race = ref false in
-      try
-        List.iter
-          (fun (mode, (s : Pipeline.staged)) ->
-            List.iter
-              (fun policy ->
-                List.iter
-                  (fun (kf : Ir.Linear.finfo) ->
-                    let kname = kf.Ir.Linear.fname in
-                    let where =
-                      Printf.sprintf "%s/%s/%s" (Pipeline.mode_name mode) (policy_name policy)
-                        kname
-                    in
-                    let config = { base_config with Simt.Config.policy; max_issues } in
-                    let race_log =
-                      Simt.Race_log.create ~size:s.Pipeline.program.T.mem_size
-                        ~n_warps:config.Simt.Config.n_warps ()
-                    in
-                    let result =
-                      try
-                        Simt.Interp.run ~race:race_log config s.decoded ~entry:kname ~args:[]
-                          ~init_memory:(init_memory s.program)
-                      with
-                      | Simt.Interp.Deadlock msg ->
-                        (* Any deadlock is a violation; one srlint failed
-                           to predict is also a soundness hole in the
-                           checker. *)
-                        let kind, msg =
-                          if s.Pipeline.lint = [] then
-                            ( Lint_unsound,
-                              Printf.sprintf "simulator deadlocked but srlint was clean: %s" msg
-                            )
-                          else (Deadlock, msg)
-                        in
-                        raise
-                          (Stop
-                             (Violation { kind; detail = Printf.sprintf "%s: %s" where msg }))
-                      | Simt.Interp.Runtime_error msg ->
-                        raise
-                          (Stop
-                             (Violation
-                                { kind = Runtime_error;
-                                  detail = Printf.sprintf "%s: %s" where msg }))
-                      | Simt.Interp.Runaway msg ->
-                        raise (Stop (Limit (Printf.sprintf "%s: %s" where msg)))
-                    in
-                    let snap = snapshot result.Simt.Interp.memory in
-                    let finished =
-                      result.Simt.Interp.metrics.Simt.Metrics.threads_finished
-                    in
-                    if Simt.Race_log.total race_log > 0 then begin
-                      dynamic_race := true;
-                      if s.Pipeline.race = [] then
-                        raise
-                          (Stop
-                             (Violation
-                                { kind = Race_unsound;
-                                  detail =
-                                    Printf.sprintf
-                                      "%s: shadow logger observed %d race(s) but srrace was \
-                                       clean; first: %s"
-                                      where
-                                      (Simt.Race_log.total race_log)
-                                      (match Simt.Race_log.events race_log with
-                                      | ev :: _ ->
-                                        Format.asprintf "%a" Simt.Race_log.pp_event ev
-                                      | [] -> "(no retained events)") }))
-                    end;
-                    match Hashtbl.find_opt reference kname with
-                    | None -> Hashtbl.replace reference kname (where, snap, finished)
-                    | Some (ref_where, ref_snap, ref_finished) ->
-                      if finished <> ref_finished then
-                        raise
-                          (Stop
-                             (Violation
-                                { kind = Result_divergence;
-                                  detail =
-                                    Printf.sprintf "%s finished %d threads, %s finished %d"
-                                      ref_where ref_finished where finished }));
-                      (match first_diff ref_snap snap with
-                      | None -> ()
-                      | Some addr ->
-                        raise
-                          (Stop
-                             (Violation
-                                { kind = Result_divergence;
-                                  detail =
-                                    Printf.sprintf
-                                      "memory differs between %s and %s at address %d" ref_where
-                                      where addr }))))
-                  (runnable_kernels s.linear))
-              policies)
-          staged;
-        (* Precision side of the soundness oracle: the whole matrix
-           completed without deadlock under every scheduler, so any
-           remaining finding is a false alarm. *)
+      List.iter
+        (fun (s : Core.Compile.compiled) ->
+          List.iter
+            (fun policy ->
+              List.iter
+                (fun (kf : Ir.Linear.finfo) ->
+                  let kname = kf.Ir.Linear.fname in
+                  let where =
+                    Printf.sprintf "%s/%s/%s" (mode_name s) (Simt.Config.policy_name policy) kname
+                  in
+                  let config = { base_config with Simt.Config.policy; max_issues } in
+                  let race_log =
+                    Simt.Race_log.create ~size:s.program.T.mem_size
+                      ~n_warps:config.Simt.Config.n_warps ()
+                  in
+                  let result =
+                    try
+                      Simt.Interp.run ~race:race_log config s.decoded ~entry:kname ~args:[]
+                        ~init_memory:(init_memory s.program)
+                    with
+                    | Simt.Interp.Deadlock msg ->
+                      (* Any deadlock is a violation; one srlint failed
+                         to predict is also a soundness hole in the
+                         checker. *)
+                      let kind, msg =
+                        if s.lint_findings = [] then
+                          (Lint_unsound, Printf.sprintf "simulator deadlocked but srlint was clean: %s" msg)
+                        else (Deadlock, msg)
+                      in
+                      raise (Stop (Violation { kind; detail = Printf.sprintf "%s: %s" where msg }))
+                    | Simt.Interp.Runtime_error msg ->
+                      raise
+                        (Stop
+                           (Violation
+                              { kind = Runtime_error; detail = Printf.sprintf "%s: %s" where msg }))
+                    | Simt.Interp.Runaway msg ->
+                      raise (Stop (Limit (Printf.sprintf "%s: %s" where msg)))
+                  in
+                  let snap = snapshot result.Simt.Interp.memory in
+                  let finished = result.Simt.Interp.metrics.Simt.Metrics.threads_finished in
+                  if Simt.Race_log.total race_log > 0 then begin
+                    dynamic_race := true;
+                    if s.race_findings = [] then
+                      raise
+                        (Stop
+                           (Violation
+                              { kind = Race_unsound;
+                                detail =
+                                  Printf.sprintf
+                                    "%s: shadow logger observed %d race(s) but srrace was \
+                                     clean; first: %s"
+                                    where
+                                    (Simt.Race_log.total race_log)
+                                    (match Simt.Race_log.events race_log with
+                                    | ev :: _ -> Format.asprintf "%a" Simt.Race_log.pp_event ev
+                                    | [] -> "(no retained events)") }))
+                  end;
+                  match Hashtbl.find_opt reference kname with
+                  | None -> Hashtbl.replace reference kname (where, snap, finished)
+                  | Some (ref_where, ref_snap, ref_finished) ->
+                    if finished <> ref_finished then
+                      raise
+                        (Stop
+                           (Violation
+                              { kind = Result_divergence;
+                                detail =
+                                  Printf.sprintf "%s finished %d threads, %s finished %d"
+                                    ref_where ref_finished where finished }));
+                    (match first_diff ref_snap snap with
+                    | None -> ()
+                    | Some addr ->
+                      raise
+                        (Stop
+                           (Violation
+                              { kind = Result_divergence;
+                                detail =
+                                  Printf.sprintf "memory differs between %s and %s at address %d"
+                                    ref_where where addr }))))
+                (runnable_kernels s.linear))
+            Simt.Config.policies)
+        staged;
+      (* Precision side of the soundness oracle: the whole matrix
+         completed without deadlock under every scheduler, so any
+         remaining finding is a false alarm. *)
+      match List.find_opt (fun (s : Core.Compile.compiled) -> s.lint_findings <> []) staged with
+      | Some s ->
+        Violation
+          {
+            kind = Lint_spurious;
+            detail =
+              Printf.sprintf "%s ran deadlock-free everywhere, yet: %s" (mode_name s)
+                (Format.asprintf "%a" Analysis.Barrier_safety.pp_machine (List.hd s.lint_findings));
+          }
+      | None -> (
+        (* Race precision: the whole matrix ran with the shadow logger
+           armed — both modes, all three schedulers — and no cell
+           realized a race, so a surviving static race finding is a
+           false alarm. *)
         match
-          List.find_opt (fun (_, (s : Pipeline.staged)) -> s.Pipeline.lint <> []) staged
+          if !dynamic_race then None
+          else List.find_opt (fun (s : Core.Compile.compiled) -> s.race_findings <> []) staged
         with
-        | Some (mode, s) ->
-          let f = List.hd s.Pipeline.lint in
+        | Some s ->
           Violation
             {
-              kind = Lint_spurious;
+              kind = Race_spurious;
               detail =
-                Printf.sprintf "%s ran deadlock-free everywhere, yet: %s"
-                  (Pipeline.mode_name mode)
-                  (Format.asprintf "%a" Analysis.Barrier_safety.pp_machine f);
+                Printf.sprintf "no cell of the matrix realized a race, yet %s: %s" (mode_name s)
+                  (Format.asprintf "%a" Analysis.Race_safety.pp_machine (List.hd s.race_findings));
             }
-        | None -> (
-          (* Race precision: the whole matrix ran with the shadow
-             logger armed — both modes, all three schedulers — and no
-             cell realized a race, so a surviving static race finding
-             is a false alarm. *)
-          match
-            (if !dynamic_race then None
-             else
-               List.find_opt
-                 (fun (_, (s : Pipeline.staged)) -> s.Pipeline.race <> [])
-                 staged)
-          with
-          | Some (mode, s) ->
-            let f = List.hd s.Pipeline.race in
-            Violation
-              {
-                kind = Race_spurious;
-                detail =
-                  Printf.sprintf "no cell of the matrix realized a race, yet %s: %s"
-                    (Pipeline.mode_name mode)
-                    (Format.asprintf "%a" Analysis.Race_safety.pp_machine f);
-              }
-          | None ->
+        | None ->
           (* Serve tier: clean programs must come back from the batched
              service byte-identical to the one-shot pipeline, cold and
              warm. *)
-          let _, specrecon = List.find (fun (m, _) -> m = Pipeline.Specrecon) staged in
-          serve_matrix ~max_issues ast specrecon.Pipeline.linear;
+          serve_matrix ~max_issues ast specrecon.linear;
           (* Only lint-clean programs reach the chaos tier, so the
              zero-yields contract applies unconditionally. *)
-          if chaos > 0 then chaos_matrix ~max_issues ~chaos ~chaos_seed staged;
+          if chaos > 0 then chaos_matrix ~max_issues ~chaos ~chaos_seed ~baseline ~specrecon;
           Ok_run)
-      with Stop v -> v))
+    with Stop v -> v)
 
 (* ------------------------------------------------------------------ *)
 (* Repair tier                                                         *)
@@ -539,19 +518,15 @@ let default_mut_seed = 0xf1c5
 
 let check_repair ?(max_issues = 1_500_000) ?(variants = 3) ?(mut_seed = default_mut_seed)
     ?(id = 0) ast =
-  let compiled =
-    try
-      Ok
-        ( Pipeline.compile ~mode:Pipeline.Baseline ast,
-          Pipeline.compile ~mode:Pipeline.Specrecon ast )
-    with Pipeline.Stage_error (stage, msg) ->
-      Error { kind = Stage_failure; detail = Printf.sprintf "%s: %s" stage msg }
-  in
-  match compiled with
-  | Error v -> Violation v
-  | Ok (baseline, specrecon) when baseline.Pipeline.lint = [] && specrecon.Pipeline.lint = []
-    -> (
-    let speculative = specrecon.Pipeline.speculative in
+  match
+    (compile_staged ast Core.Compile.baseline, compile_staged ast Core.Compile.speculative)
+  with
+  | exception Stop v -> v
+  | baseline, specrecon when baseline.lint_findings = [] && specrecon.lint_findings = [] -> (
+    let speculative =
+      Core.Compile.speculative_meta ~applied:specrecon.applied
+        ~interproc:specrecon.interproc_applied
+    in
     (* Per-kernel PDOM reference images (first policy; the standard
        matrix already proves baseline schedule-independence). *)
     let reference =
@@ -559,17 +534,17 @@ let check_repair ?(max_issues = 1_500_000) ?(variants = 3) ?(mut_seed = default_
         (fun (kf : Ir.Linear.finfo) ->
           let config = { base_config with Simt.Config.max_issues } in
           let r =
-            Simt.Interp.run config baseline.Pipeline.decoded ~entry:kf.Ir.Linear.fname
+            Simt.Interp.run config baseline.decoded ~entry:kf.Ir.Linear.fname
               ~args:[]
-              ~init_memory:(init_memory baseline.Pipeline.program)
+              ~init_memory:(init_memory baseline.program)
           in
           (kf.Ir.Linear.fname, snapshot r.Simt.Interp.memory))
-        (runnable_kernels baseline.Pipeline.linear)
+        (runnable_kernels baseline.linear)
     in
     try
       for v = 0 to variants - 1 do
         let rng = Sm.of_ints mut_seed id v in
-        match Misplace.mutate rng specrecon.Pipeline.program with
+        match Misplace.mutate rng specrecon.program with
         | None -> ()
         | Some (mname, mutant) -> (
           match Analysis.Barrier_safety.check ~speculative mutant with
@@ -636,7 +611,8 @@ let check_repair ?(max_issues = 1_500_000) ?(variants = 3) ?(mut_seed = default_
                       (fun (kf : Ir.Linear.finfo) ->
                         let kname = kf.Ir.Linear.fname in
                         let cell =
-                          Printf.sprintf "%s, %s/%s" where (policy_name policy) kname
+                          Printf.sprintf "%s, %s/%s" where (Simt.Config.policy_name policy)
+                            kname
                         in
                         let config =
                           { base_config with Simt.Config.policy; max_issues }
@@ -692,13 +668,13 @@ let check_repair ?(max_issues = 1_500_000) ?(variants = 3) ?(mut_seed = default_
                                           cell addr plan;
                                     }))))
                       (runnable_kernels linear))
-                  policies)))
+                  Simt.Config.policies)))
       done;
       Ok_run
     with Stop v -> v)
-  | Ok ((_, specrecon) as _staged) ->
+  | _, specrecon ->
     (* The unmutated program is itself flagged — the standard tier owns
        that contract (lint-spurious); skip it here. *)
     Limit
       (Printf.sprintf "repair tier skipped: unmutated program has %d finding(s)"
-         (List.length specrecon.Pipeline.lint))
+         (List.length specrecon.lint_findings))

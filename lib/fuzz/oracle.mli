@@ -7,8 +7,11 @@
       ast)] must be structurally equal to [ast] ({!Front.Pretty}'s
       documented contract).
     + {b Stage health} — lowering and every synchronization pass must
-      leave the IR {!Ir.Verifier}-clean, in both compilation modes
-      ({!Pipeline}).
+      leave the IR {!Ir.Verifier}-clean, in both compilation modes. The
+      cells compile through {!Core.Compile.compile_ast} itself, the
+      pipeline srcc, srrun and srserved ship, with the verifier as its
+      stage observer ([~check]) and srlint's findings kept as data
+      ([lint = false]).
     + {b Mode/schedule independence} — the final memory image and the
       per-thread PRNG-stream consumption must be byte-identical between
       the PDOM-only baseline and the speculative-reconvergence
@@ -119,12 +122,9 @@ type verdict =
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(** The interpreter configurations the differential matrix uses: 2 warps
-    of 32 threads ([Gen.n_threads] total) under each scheduler policy. *)
-val policies : Simt.Config.policy list
-
-val policy_name : Simt.Config.policy -> string
-
+(** The interpreter configuration the differential matrix uses: 2 warps
+    of 32 threads ([Gen.n_threads] total), run under each of
+    {!Simt.Config.policies}. *)
 val base_config : Simt.Config.t
 
 (** Deterministic fill for the read-only [datai]/[dataf] input arrays —

@@ -58,8 +58,6 @@ type request = {
   source : string;
 }
 
-let modes = [ "baseline"; "none"; "specrecon"; "specrecon-static"; "auto" ]
-let policies = [ "most-threads"; "lowest-pc"; "round-robin" ]
 let inits = [ "none"; "data" ]
 
 let make_request ~id ?(mode = "specrecon") ?(policy = "most-threads") ?(warps = 2)
@@ -77,14 +75,6 @@ let print_value = function
   | Ir.Types.I i -> string_of_int i
   | Ir.Types.F f -> Printf.sprintf "%h" f
 
-let parse_value s =
-  match int_of_string_opt s with
-  | Some i -> Ok (Ir.Types.I i)
-  | None -> (
-    match float_of_string_opt s with
-    | Some f -> Ok (Ir.Types.F f)
-    | None -> Error (Printf.sprintf "bad kernel argument %S (expected int or float)" s))
-
 let print_args args = String.concat "," (List.map print_value args)
 
 let parse_args s =
@@ -92,7 +82,7 @@ let parse_args s =
   else
     List.fold_right
       (fun part acc ->
-        match (acc, parse_value part) with
+        match (acc, Core.Runner.parse_arg part) with
         | Error _, _ -> acc
         | _, Error e -> Error e
         | Ok vs, Ok v -> Ok (v :: vs))
@@ -171,11 +161,13 @@ let parse_run words =
   let tbl = fields_of_words words in
   let id = int_field "id" (require tbl "id") in
   let mode =
-    match take tbl "mode" with Some v -> enum_field "mode" modes v | None -> "specrecon"
+    match take tbl "mode" with
+    | Some v -> enum_field "mode" Core.Compile.mode_names v
+    | None -> "specrecon"
   in
   let policy =
     match take tbl "policy" with
-    | Some v -> enum_field "policy" policies v
+    | Some v -> enum_field "policy" (List.map Simt.Config.policy_name Simt.Config.policies) v
     | None -> "most-threads"
   in
   let warps = match take tbl "warps" with Some v -> int_field "warps" v | None -> 2 in

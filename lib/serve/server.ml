@@ -85,34 +85,11 @@ let drain t = t.draining <- true
 
 (* ---- request -> compile options / launch config ---- *)
 
-let mode_of_string = function
-  | "baseline" -> Core.Compile.Baseline
-  | "none" -> Core.Compile.No_sync
-  | "specrecon" -> Core.Compile.Speculative Passes.Deconflict.Dynamic
-  | "specrecon-static" -> Core.Compile.Speculative Passes.Deconflict.Static
-  | "auto" ->
-    Core.Compile.Automatic
-      {
-        params = Passes.Auto_detect.default_params;
-        strategy = Passes.Deconflict.Dynamic;
-        profile = None;
-      }
-  | other -> invalid_arg ("unknown mode " ^ other) (* unreachable: protocol validates *)
-
-let policy_of_string = function
-  | "lowest-pc" -> Simt.Config.Lowest_pc
-  | "round-robin" -> Simt.Config.Round_robin
-  | _ -> Simt.Config.Most_threads
-
 let options_of_request (r : P.request) =
   {
-    Core.Compile.mode = mode_of_string r.P.mode;
+    Core.Compile.mode = Core.Compile.mode_of_string r.P.mode;
     coarsen = r.P.coarsen;
-    threshold =
-      (match r.P.threshold with
-      | None -> Core.Compile.Keep
-      | Some k when k < 0 -> Core.Compile.Unset
-      | Some k -> Core.Compile.Set k);
+    threshold = Core.Compile.threshold_of_int r.P.threshold;
     cleanup = true;
     deconflict = true;
     lint = true;
@@ -132,7 +109,7 @@ let config_of_request t (r : P.request) =
     { Simt.Config.default with
       Simt.Config.n_warps = r.P.warps;
       warp_size = r.P.warp_size;
-      policy = policy_of_string r.P.policy;
+      policy = Simt.Config.policy_of_string r.P.policy;
       seed = r.P.seed;
       max_issues = t.max_issues;
       fuel = fuel_of_request t r }
@@ -256,7 +233,7 @@ let run_segment t (requests : P.request list) =
         then begin
           match Option.bind t.persist (fun p -> Persist.load p ~key) with
           | Some compiled -> Hashtbl.replace persisted key (compiled : Core.Compile.compiled)
-          | None -> Hashtbl.replace missing key (options_of_request r, r.P.source)
+          | None -> Hashtbl.replace missing key r
         end)
     slots;
   let missing_keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) missing []) in
@@ -266,8 +243,8 @@ let run_segment t (requests : P.request list) =
     missing_keys
     (Support.Domain_pool.map
        (fun key ->
-         let options, source = Hashtbl.find missing key in
-         match Core.Compile.compile options ~source with
+         let r = Hashtbl.find missing key in
+         match Core.Compile.compile (options_of_request r) ~source:r.P.source with
          | compiled -> Ok compiled
          | exception exn -> Error exn)
        missing_keys);

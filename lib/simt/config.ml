@@ -1,5 +1,17 @@
 type policy = Most_threads | Lowest_pc | Round_robin
 
+let policies = [ Most_threads; Lowest_pc; Round_robin ]
+
+let policy_name = function
+  | Most_threads -> "most-threads"
+  | Lowest_pc -> "lowest-pc"
+  | Round_robin -> "round-robin"
+
+let policy_of_string name =
+  match List.find_opt (fun p -> policy_name p = name) policies with
+  | Some p -> p
+  | None -> invalid_arg ("unknown policy " ^ name)
+
 type yield_policy = Oldest_arrival | Most_waiters | Lowest_slot
 
 type latencies = {

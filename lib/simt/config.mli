@@ -12,6 +12,17 @@ type policy =
   | Lowest_pc  (** lowest pc first — lets lagging threads catch up *)
   | Round_robin  (** rotate over groups — fairness baseline *)
 
+val policies : policy list
+(** All three, in the order the fuzz matrix and usage text list them. *)
+
+val policy_name : policy -> string
+(** ["most-threads"], ["lowest-pc"] or ["round-robin"] — srrun's
+    [--policy] and the srserved [policy=] field. *)
+
+val policy_of_string : string -> policy
+(** Inverse of {!policy_name}.
+    @raise Invalid_argument ["unknown policy NAME"]. *)
+
 (** How yield recovery picks the victim barrier when every live group of
     a warp is blocked on convergence barriers (the forward-progress
     watchdog). All three are deterministic; ties break toward the lowest

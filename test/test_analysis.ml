@@ -485,8 +485,11 @@ let test_conflicts_match_definition () =
     (fun (name, source) ->
       let ast = Front.Parser.parse_string source in
       List.iter
-        (fun mode ->
-          let p = (Fuzz.Pipeline.compile ~deconflict:false ~mode ast).Fuzz.Pipeline.program in
+        (fun (options : Core.Compile.options) ->
+          let p =
+            (Core.Compile.compile_ast { options with deconflict = false; lint = false } ast)
+              .Core.Compile.program
+          in
           List.iter
             (fun (fname, f) ->
               List.iter
@@ -496,11 +499,12 @@ let test_conflicts_match_definition () =
                   pairs := !pairs + List.length expected;
                   check
                     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-                    (Printf.sprintf "%s %s %s (%s)" name (Fuzz.Pipeline.mode_name mode) fname model)
+                    (Printf.sprintf "%s %s %s (%s)" name (Core.Compile.mode_name options.mode) fname
+                       model)
                     expected (BA.conflicts ba))
                 [ ("intraprocedural", fun _ -> ISet.empty); ("call-as-wait", entry_waits p) ])
             (Hashtbl.fold (fun n f acc -> (n, f) :: acc) p.T.funcs [] |> List.sort compare))
-        [ Fuzz.Pipeline.Baseline; Fuzz.Pipeline.Specrecon ])
+        [ Core.Compile.baseline; Core.Compile.speculative ])
     (simt_sources "../examples/kernels" @ simt_sources "corpus" @ fuzz);
   check_bool (Printf.sprintf "the programs have conflicts to compare (%d pairs)" !pairs) true
     (!pairs > 0)

@@ -113,6 +113,25 @@ let test_srcc_fix_exit_codes () =
   check_int "--fix on a clean program is a no-op (0)" (Cli.exit_code Cli.Ok_exit)
     (srcc "../examples/kernels/loop_merge.simt --mode specrecon --fix")
 
+(* ---- who prints demoted findings ----
+
+   Core.Compile prints nothing; srcc reports srlint findings once: as
+   machine lines on stdout under --lint, as stderr warnings under
+   --no-lint. *)
+
+let srcc_warnings args =
+  let err = Filename.temp_file "srcc" ".err" in
+  ignore (Sys.command (Printf.sprintf "../bin/srcc.exe %s > /dev/null 2> %s" args err));
+  let text = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  List.filter (String.starts_with ~prefix:"warning: ") (String.split_on_char '\n' text)
+
+let test_srcc_lint_reports_once () =
+  check_int "--lint writes no warning lines" 0
+    (List.length (srcc_warnings (repro ^ " --lint")));
+  check_int "--no-lint still warns once per finding" 2
+    (List.length (srcc_warnings (repro ^ " --no-lint")))
+
 let tests =
   [
     ( "core.cli",
@@ -124,5 +143,6 @@ let tests =
           test_describe_one_line;
         Alcotest.test_case "handle" `Quick test_handle;
         Alcotest.test_case "srcc --fix exit-code contract" `Quick test_srcc_fix_exit_codes;
+        Alcotest.test_case "srcc reports lint findings once" `Quick test_srcc_lint_reports_once;
       ] );
   ]

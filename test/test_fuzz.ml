@@ -10,7 +10,11 @@
    - generator determinism: same seed and id, same program. *)
 
 module Oracle = Fuzz.Oracle
-module Pipeline = Fuzz.Pipeline
+module C = Core.Compile
+
+(* The checker-rejected placement: speculative compilation with
+   deconfliction skipped, its srlint findings kept as data. *)
+let compile_raw ast = C.compile_ast { C.speculative with deconflict = false; lint = false } ast
 
 let read_file path =
   let ic = open_in_bin path in
@@ -18,11 +22,13 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let corpus_files () =
-  Sys.readdir "corpus" |> Array.to_list
+let simt_files dir =
+  Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".simt")
   |> List.sort compare
-  |> List.map (Filename.concat "corpus")
+  |> List.map (Filename.concat dir)
+
+let corpus_files () = simt_files "corpus"
 
 let test_corpus_replay () =
   let files = corpus_files () in
@@ -91,33 +97,34 @@ kernel k() {
 }
 |}
 
-let run_policy (staged : Pipeline.staged) policy =
+let run_policy (staged : C.compiled) policy =
   let config = { Oracle.base_config with Simt.Config.policy } in
-  Simt.Interp.run config staged.Pipeline.decoded ~args:[]
-    ~init_memory:(Oracle.init_memory staged.Pipeline.program)
+  Simt.Interp.run config staged.decoded ~args:[] ~init_memory:(Oracle.init_memory staged.program)
 
 let test_deconflict_rescues_deadlock () =
   let ast = Front.Parser.parse_string conflicting_source in
-  let raw = Pipeline.compile ~deconflict:false ~mode:Pipeline.Specrecon ast in
+  let raw = compile_raw ast in
   let deadlocked =
     List.filter
       (fun policy ->
         match run_policy raw policy with
         | _ -> false
         | exception Simt.Interp.Deadlock _ -> true)
-      Oracle.policies
+      Simt.Config.policies
   in
   Alcotest.(check bool) "deadlocks under some policy without deconfliction" true
     (deadlocked <> []);
-  let deconflicted = Pipeline.compile ~mode:Pipeline.Specrecon ast in
+  let deconflicted = C.compile_ast C.speculative ast in
   Alcotest.(check bool) "deconfliction resolved the conflict" true
-    (deconflicted.Pipeline.resolutions >= 1);
+    (match deconflicted.deconflict_report with
+    | Some r -> List.length r.Passes.Deconflict.resolutions >= 1
+    | None -> false);
   List.iter
     (fun policy ->
       match run_policy deconflicted policy with
       | _ -> ()
       | exception Simt.Interp.Deadlock msg -> Alcotest.failf "still deadlocks: %s" msg)
-    Oracle.policies;
+    Simt.Config.policies;
   match Oracle.check ast with
   | Oracle.Ok_run -> ()
   | v -> Alcotest.failf "full oracle matrix: %a" Oracle.pp_verdict v
@@ -126,15 +133,14 @@ let test_deconflict_rescues_deadlock () =
 
 let digest (r : Simt.Interp.result) = Simt.Memsys.digest r.Simt.Interp.memory
 
-let run_yield (staged : Pipeline.staged) policy yield_policy =
+let run_yield (staged : C.compiled) policy yield_policy =
   let config =
     { Oracle.base_config with
       Simt.Config.policy;
       yield_on_stall = true;
       yield_policy }
   in
-  Simt.Interp.run config staged.Pipeline.decoded ~args:[]
-    ~init_memory:(Oracle.init_memory staged.Pipeline.program)
+  Simt.Interp.run config staged.decoded ~args:[] ~init_memory:(Oracle.init_memory staged.program)
 
 let test_yield_recovers_conflict () =
   (* The same checker-rejected conflicting placement that deadlocks in
@@ -143,9 +149,9 @@ let test_yield_recovers_conflict () =
      bit-identical to the PDOM baseline — graceful degradation instead
      of a stuck machine. *)
   let ast = Front.Parser.parse_string conflicting_source in
-  let raw = Pipeline.compile ~deconflict:false ~mode:Pipeline.Specrecon ast in
-  Alcotest.(check bool) "the placement is checker-rejected" true (raw.Pipeline.lint <> []);
-  let baseline = Pipeline.compile ~mode:Pipeline.Baseline ast in
+  let raw = compile_raw ast in
+  Alcotest.(check bool) "the placement is checker-rejected" true (raw.lint_findings <> []);
+  let baseline = C.compile_ast C.baseline ast in
   let want = digest (run_policy baseline Simt.Config.Most_threads) in
   let yielded = ref 0 in
   List.iter
@@ -162,7 +168,7 @@ let test_yield_recovers_conflict () =
           | exception Simt.Interp.Deadlock msg ->
             Alcotest.failf "deadlocked despite yield recovery: %s" msg)
         [ Simt.Config.Oldest_arrival; Simt.Config.Most_waiters; Simt.Config.Lowest_slot ])
-    Oracle.policies;
+    Simt.Config.policies;
   Alcotest.(check bool) "recovery actually fired somewhere" true (!yielded > 0)
 
 let test_yield_log_deterministic () =
@@ -170,7 +176,7 @@ let test_yield_log_deterministic () =
      same yield log (cycle, warp, slot, released lanes), for each victim
      policy. *)
   let ast = Front.Parser.parse_string conflicting_source in
-  let raw = Pipeline.compile ~deconflict:false ~mode:Pipeline.Specrecon ast in
+  let raw = compile_raw ast in
   List.iter
     (fun yield_policy ->
       let a = run_yield raw Simt.Config.Most_threads yield_policy in
@@ -185,7 +191,7 @@ let test_deadlock_report_names_cycle () =
   (* Satellite of the yield unit: the no-yield diagnostic must name the
      waits-for cycle so the report is actionable. *)
   let ast = Front.Parser.parse_string conflicting_source in
-  let raw = Pipeline.compile ~deconflict:false ~mode:Pipeline.Specrecon ast in
+  let raw = compile_raw ast in
   let saw_deadlock =
     List.exists
       (fun policy ->
@@ -202,7 +208,7 @@ let test_deadlock_report_names_cycle () =
           Alcotest.(check bool) "report shows blocked sites" true (contains "blocked at");
           Alcotest.(check bool) "report suggests yield recovery" true (contains "--yield");
           true)
-      Oracle.policies
+      Simt.Config.policies
   in
   Alcotest.(check bool) "some policy deadlocks without yield" true saw_deadlock
 
@@ -222,12 +228,12 @@ kernel k() {
 
 let test_fault_trace_roundtrip_and_replay () =
   let ast = Front.Parser.parse_string divergent_source in
-  let staged = Pipeline.compile ~mode:Pipeline.Specrecon ast in
+  let staged = C.compile_ast C.speculative ast in
   let config = { Oracle.base_config with Simt.Config.yield_on_stall = true } in
   let faults = Simt.Faults.create ~seed:1905 () in
   let a =
-    Simt.Interp.run ~faults config staged.Pipeline.decoded ~args:[]
-      ~init_memory:(Oracle.init_memory staged.Pipeline.program)
+    Simt.Interp.run ~faults config staged.decoded ~args:[]
+      ~init_memory:(Oracle.init_memory staged.program)
   in
   let events = Simt.Faults.events faults in
   Alcotest.(check bool) "the plan injected something" true (events <> []);
@@ -236,8 +242,8 @@ let test_fault_trace_roundtrip_and_replay () =
   (* Replaying the recorded trace reproduces the faulted run exactly. *)
   let replayed = Simt.Faults.replay events in
   let b =
-    Simt.Interp.run ~faults:replayed config staged.Pipeline.decoded ~args:[]
-      ~init_memory:(Oracle.init_memory staged.Pipeline.program)
+    Simt.Interp.run ~faults:replayed config staged.decoded ~args:[]
+      ~init_memory:(Oracle.init_memory staged.program)
   in
   Alcotest.(check bool) "replay applies the same faults" true
     (Simt.Faults.events replayed = events);
@@ -246,8 +252,8 @@ let test_fault_trace_roundtrip_and_replay () =
   Alcotest.(check bool) "replay reproduces the memory image" true (digest a = digest b);
   (* And faults must not change what the program computes. *)
   let clean =
-    Simt.Interp.run Oracle.base_config staged.Pipeline.decoded ~args:[]
-      ~init_memory:(Oracle.init_memory staged.Pipeline.program)
+    Simt.Interp.run Oracle.base_config staged.decoded ~args:[]
+      ~init_memory:(Oracle.init_memory staged.program)
   in
   Alcotest.(check bool) "faulted memory matches the unfaulted run" true (digest a = digest clean)
 
@@ -302,14 +308,14 @@ let test_multi_kernel_program () =
   (* Multi-kernel translation units (a ROADMAP item): both kernels are
      lowered side by side; the entry selector picks which one runs. *)
   let ast = Front.Parser.parse_string multi_kernel_source in
-  let staged = Pipeline.compile ~mode:Pipeline.Specrecon ast in
+  let staged = C.compile_ast C.speculative ast in
   let kernels =
-    List.map (fun (f : Ir.Linear.finfo) -> f.Ir.Linear.fname) staged.Pipeline.linear.Ir.Linear.kernels
+    List.map (fun (f : Ir.Linear.finfo) -> f.Ir.Linear.fname) staged.linear.Ir.Linear.kernels
   in
   Alcotest.(check (list string)) "both kernels listed in order" [ "k"; "k2" ] kernels;
   let run entry args =
-    Simt.Interp.run ~entry Oracle.base_config staged.Pipeline.decoded ~args
-      ~init_memory:(Oracle.init_memory staged.Pipeline.program)
+    Simt.Interp.run ~entry Oracle.base_config staged.decoded ~args
+      ~init_memory:(Oracle.init_memory staged.program)
   in
   let a = run "k" [] in
   let b = run "k2" [ Ir.Types.I 7 ] in
@@ -336,6 +342,59 @@ let test_chaos_campaign () =
   Alcotest.(check int) "every program accounted for" 40
     (report.Fuzz.Driver.passed + report.Fuzz.Driver.limited)
 
+(* ---- Stage health through Core.Compile's observer ---- *)
+
+(* The stage names Core.Compile reports, in order, each program it
+   reports checked by Ir.Verifier on the way. *)
+let observed_stages options ast =
+  let seen = ref [] in
+  let check stage program =
+    seen := stage :: !seen;
+    match Ir.Verifier.check_program program with
+    | [] -> ()
+    | e :: _ -> Alcotest.failf "verifier after %s: %a" stage Ir.Verifier.pp_error e
+  in
+  ignore (C.compile_ast ~check options ast);
+  List.rev !seen
+
+let parse_file path = Front.Parser.parse_string (read_file path)
+
+let test_stage_sequence () =
+  let ast = parse_file "../examples/kernels/loop_merge.simt" in
+  let expect name options stages =
+    Alcotest.(check (list string)) name stages (observed_stages options ast)
+  in
+  let sync = [ "specrecon"; "interproc"; "pdom_sync" ] in
+  let speculative = ("lower" :: sync) @ [ "deconflict"; "cleanup" ] in
+  let repair = C.Repair { dry_run = false; max_edits = Analysis.Barrier_repair.default_max_edits } in
+  expect "baseline" C.baseline [ "lower"; "pdom_sync"; "cleanup" ];
+  expect "specrecon" C.speculative speculative;
+  expect "specrecon-static" { C.speculative with mode = C.mode_of_string "specrecon-static" }
+    speculative;
+  expect "auto" C.automatic (("lower" :: "auto_detect" :: sync) @ [ "deconflict"; "cleanup" ]);
+  expect "coarsen" { C.speculative with coarsen = Some 8 } speculative;
+  expect "no deconflict" { C.speculative with deconflict = false }
+    (("lower" :: sync) @ [ "cleanup" ]);
+  expect "repair of a clean program" { C.speculative with repair } speculative;
+  Alcotest.(check (list string)) "accepted repair"
+    (("lower" :: sync) @ [ "cleanup"; "repair" ])
+    (observed_stages
+       { C.speculative with deconflict = false; repair }
+       (parse_file "corpus/srfuzz_42_114_deadlock.simt"))
+
+let test_stage_health_sweep () =
+  let modes = List.map C.mode_of_string [ "baseline"; "specrecon"; "specrecon-static"; "auto" ] in
+  let sweep ~deconflict path =
+    let ast = parse_file path in
+    List.iter
+      (fun mode -> ignore (observed_stages { C.baseline with mode; deconflict; lint = false } ast))
+      modes
+  in
+  let examples = simt_files "../examples/kernels" and corpus = corpus_files () in
+  Alcotest.(check bool) "sweep has examples and corpus repros" true (examples <> [] && corpus <> []);
+  List.iter (sweep ~deconflict:true) examples;
+  List.iter (sweep ~deconflict:false) corpus
+
 let tests =
   [
     ( "fuzz.oracles",
@@ -348,6 +407,12 @@ let tests =
         Alcotest.test_case "multi-kernel programs" `Quick test_multi_kernel_program;
         Alcotest.test_case "corpus replay" `Slow test_corpus_replay;
         Alcotest.test_case "smoke campaign (seed 42)" `Slow test_smoke_campaign;
+      ] );
+    ( "fuzz.stage_health",
+      [
+        Alcotest.test_case "observed stage sequence per option" `Quick test_stage_sequence;
+        Alcotest.test_case "every stage verifier-clean on examples and corpus" `Quick
+          test_stage_health_sweep;
       ] );
     ( "fuzz.chaos",
       [

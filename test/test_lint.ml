@@ -16,7 +16,7 @@
 module T = Ir.Types
 module B = Ir.Builder
 module BS = Analysis.Barrier_safety
-module Pipeline = Fuzz.Pipeline
+module C = Core.Compile
 
 let render = BS.render
 
@@ -215,33 +215,44 @@ kernel k() {
 
 let is_deadlock_category c = c = BS.Bypassable_wait || c = BS.Unseparated_overlap
 
+(* The speculative pipeline rebuilt from the public passes, with
+   Deconflict's call-as-wait modeling ablated (the pre-PR 2 blindness):
+   the program, srlint's findings on it, and its executable form. *)
+let compile_ablated ast =
+  let program = Front.Lower.lower ast in
+  let applied = Passes.Specrecon.run program in
+  let interproc = Passes.Interproc.run program in
+  let pdom = Passes.Pdom_sync.run program (Analysis.Divergence.run program) in
+  ignore
+    (Passes.Deconflict.run ~model_call_waits:false program ~strategy:Passes.Deconflict.Dynamic
+       ~priority:(C.barrier_priority ~applied ~interproc ~pdom));
+  ignore (Passes.Cleanup.run program);
+  let lint = BS.check ~speculative:(C.speculative_meta ~applied ~interproc) program in
+  (program, lint, Ir.Decoded.decode (Ir.Linear.linearize program))
+
 let test_ablation_flags_interproc_deadlock () =
   let ast = Front.Parser.parse_string conflicting_source in
-  let ablated =
-    Pipeline.compile ~deconflict_call_waits:false ~mode:Pipeline.Specrecon ast
-  in
+  let program, lint, decoded = compile_ablated ast in
   Alcotest.(check bool)
     "srlint statically flags the shape under the ablation" true
-    (List.exists (fun (f : BS.finding) -> is_deadlock_category f.BS.category)
-       ablated.Pipeline.lint);
+    (List.exists (fun (f : BS.finding) -> is_deadlock_category f.BS.category) lint);
   (* The static flag is truthful: the ablated binary really deadlocks. *)
   let deadlocked =
     List.exists
       (fun policy ->
         let config = { Fuzz.Oracle.base_config with Simt.Config.policy } in
         match
-          Simt.Interp.run config ablated.Pipeline.decoded ~args:[]
-            ~init_memory:(Fuzz.Oracle.init_memory ablated.Pipeline.program)
+          Simt.Interp.run config decoded ~args:[] ~init_memory:(Fuzz.Oracle.init_memory program)
         with
         | _ -> false
         | exception Simt.Interp.Deadlock _ -> true)
-      Fuzz.Oracle.policies
+      Simt.Config.policies
   in
   Alcotest.(check bool) "ablated compilation deadlocks in the simulator" true deadlocked;
   (* With call-as-wait modeling restored, both the pass and the checker
      agree the program is safe. *)
-  let fixed = Pipeline.compile ~mode:Pipeline.Specrecon ast in
-  Alcotest.(check int) "no findings with modeling on" 0 (List.length fixed.Pipeline.lint)
+  let fixed = C.compile_ast { C.speculative with lint = false } ast in
+  Alcotest.(check int) "no findings with modeling on" 0 (List.length fixed.lint_findings)
 
 (* ---- clean sweep over examples and corpus ---- *)
 
@@ -267,17 +278,11 @@ let test_clean_sweep () =
     (fun path ->
       let ast = Front.Parser.parse_string (read_file path) in
       List.iter
-        (fun mode ->
-          let staged = Pipeline.compile ~mode ast in
-          match staged.Pipeline.lint with
+        (fun (options : C.options) ->
+          match (C.compile_ast { options with lint = false } ast).lint_findings with
           | [] -> ()
-          | fs -> Alcotest.failf "%s (%s): %s" path (Pipeline.mode_name mode) (render fs))
-        [ Pipeline.Baseline; Pipeline.Specrecon ];
-      (* The Core.Compile presets run srlint as a mandatory hard-error
-         stage, so compiling at all asserts zero findings. *)
-      List.iter
-        (fun options -> ignore (Core.Compile.compile_ast options ast))
-        [ Core.Compile.baseline; Core.Compile.speculative; Core.Compile.automatic ])
+          | fs -> Alcotest.failf "%s (%s): %s" path (C.mode_name options.mode) (render fs))
+        [ C.baseline; C.speculative; C.automatic ])
     files
 
 (* ---- generator reach: threshold-gated hints ---- *)

@@ -152,12 +152,7 @@ let compile_with_conflict () =
   let pdom = Passes.Pdom_sync.run p divergence in
   (p, List.hd applied, pdom)
 
-let priority_of applied pdom fname b =
-  let a = applied in
-  if b = a.Passes.Specrecon.user_barrier then 3
-  else if Some b = a.Passes.Specrecon.region_barrier then 2
-  else if List.exists (fun (f, _, x) -> String.equal f fname && x = b) pdom then 1
-  else 1
+let priority_of applied pdom = Core.Compile.barrier_priority ~applied:[ applied ] ~interproc:[] ~pdom
 
 let test_deconflict_dynamic () =
   let p, a, pdom = compile_with_conflict () in

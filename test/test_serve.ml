@@ -257,15 +257,20 @@ let test_server_error_codes () =
   in
   let usage = P.Run (P.make_request ~id:3 ~warps:0 ~source:ok_source ()) in
   let healthy = P.Run (P.make_request ~id:4 ~warps:1 ~source:ok_source ()) in
-  match Server.submit server [ syntax; compile; runtime; usage; healthy ] with
-  | [ r0; r1; r2; r3; r4 ] ->
+  (* Names parse_command would reject, built directly: *)
+  let mode = P.Run (P.make_request ~id:5 ~mode:"bogus" ~source:ok_source ()) in
+  let policy = P.Run (P.make_request ~id:6 ~policy:"bogus" ~source:ok_source ()) in
+  match Server.submit server [ syntax; compile; runtime; usage; healthy; mode; policy ] with
+  | [ r0; r1; r2; r3; r4; r5; r6 ] ->
     expect_error "syntax" 4 "syntax" r0;
     expect_error "compile" 5 "compile" r1;
     expect_error "runtime" 7 "runtime" r2;
     expect_error "usage" 2 "usage" r3;
     check_bool "server survives bad requests" true
-      (match r4 with P.Ok_run _ -> true | _ -> false)
-  | other -> Alcotest.failf "expected 5 responses, got %d" (List.length other)
+      (match r4 with P.Ok_run _ -> true | _ -> false);
+    expect_error "unknown mode" 2 "usage" r5;
+    expect_error "unknown policy" 2 "usage" r6
+  | other -> Alcotest.failf "expected 7 responses, got %d" (List.length other)
 
 let test_server_stats_and_lines () =
   let server = Server.create ~cache_capacity:8 () in
